@@ -295,6 +295,9 @@ def parse_series_csv(text: str) -> IntensitySeries:
     if header[0] != "frame" or len(header) < 2 or any(not name.strip() for name in header[1:]):
         raise SeriesFormatError("line 1: expected header 'frame,<region>,...'")
     regions = tuple(name.strip() for name in header[1:])
+    duplicates = sorted({name for name in regions if regions.count(name) > 1})
+    if duplicates:
+        raise SeriesFormatError(f"line 1: duplicate region column(s) {', '.join(duplicates)}")
 
     frames: list[int] = []
     rows: list[list[float]] = []
@@ -310,6 +313,11 @@ def parse_series_csv(text: str) -> IntensitySeries:
             frame = int(parts[0])
         except ValueError:
             raise SeriesFormatError(f"line {lineno}: bad frame index {parts[0]!r}") from None
+        if frames and frame <= frames[-1]:
+            raise SeriesFormatError(
+                f"line {lineno}: frame {frame} does not follow frame {frames[-1]}; "
+                "frame numbers must be strictly increasing"
+            )
         try:
             magnitudes = [float(part) for part in parts[1:]]
         except ValueError:

@@ -7,6 +7,7 @@ by least squares over a square window, i.e. the 2x2 normal equations
     [sum ix*iy  sum iy*iy] [v] = -[sum iy*it]
 
 with window sums taken over the (2r+1)^2 neighborhood clipped to the image.
+The solve divides every sum by (2r+1)^2, which leaves (u, v) unchanged.
 Pixels whose structure tensor is near-singular (aperture problem, flat
 patches) are marked invalid. A coarse-to-fine pyramid extends the usable
 displacement range beyond the ~1 px linearization limit.
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
+from scipy.ndimage import correlate1d, uniform_filter1d
 
 from .errors import DimensionMismatch, PyramidTooDeep
 from .imageio import Image
@@ -45,6 +46,9 @@ class FlowParams:
     pyramid_levels: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("smooth_sigma", "eigen_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.window_radius < 1:
             raise ValueError(f"window_radius must be >= 1, got {self.window_radius}")
         if self.smooth_sigma < 0:
@@ -115,10 +119,10 @@ def _smooth_array(pixels: np.ndarray, sigma: float) -> np.ndarray:
     kernel = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
     kernel /= kernel.sum()
     out = correlate1d(pixels, kernel, axis=0, mode="nearest")
-    out = correlate1d(out, kernel, axis=1, mode="nearest")
+    correlate1d(out, kernel, axis=1, output=out, mode="nearest")
     # Rounding can push values a hair outside [0, 1]; clamp to keep the
     # image invariant.
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def gaussian_smooth(img: Image, sigma: float) -> Image:
@@ -133,83 +137,103 @@ def gaussian_smooth(img: Image, sigma: float) -> Image:
     return Image(_smooth_array(img.pixels, sigma))
 
 
-def _central_diff(a: np.ndarray, axis: int) -> np.ndarray:
-    # Derivative kernel [-1/2, 0, +1/2] with replicate border.
-    pad = [(1, 1) if ax == axis else (0, 0) for ax in range(a.ndim)]
-    p = np.pad(a, pad, mode="edge")
-    if axis == 0:
-        return (p[2:, :] - p[:-2, :]) * 0.5
-    return (p[:, 2:] - p[:, :-2]) * 0.5
+def _central_diff(a: np.ndarray, axis: int, out: np.ndarray) -> None:
+    # Derivative kernel [-1/2, 0, +1/2] with replicate border, written to out.
+    a, d = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    last = a.shape[0] - 1
+    np.subtract(a[2:], a[:-2], out=d[1:-1])
+    np.subtract(a[min(1, last)], a[0], out=d[0])
+    np.subtract(a[last], a[max(last - 1, 0)], out=d[last])
+    d *= 0.5
 
 
-def _gradient_arrays(a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    avg = (a1 + a2) * 0.5
-    return _central_diff(avg, axis=1), _central_diff(avg, axis=0), a2 - a1
+def _gradients_into(a1: np.ndarray, a2: np.ndarray, out: np.ndarray) -> None:
+    """Write ix, iy (of the frame average) and it = a2 - a1 into out[0], out[1], out[2]."""
+    avg = np.add(a1, a2, out=out[2])
+    avg *= 0.5
+    _central_diff(avg, 1, out[0])
+    _central_diff(avg, 0, out[1])
+    np.subtract(a2, a1, out=out[2])
 
 
 def spatiotemporal_gradients(i1: Image, i2: Image) -> GradientField:
     """Central-difference spatial derivatives of the frame average, it = i2 - i1."""
     _require_same_shape(i1, i2)
-    ix, iy, it = _gradient_arrays(i1.pixels, i2.pixels)
-    return GradientField(ix=ix, iy=iy, it=it)
+    grads = np.empty((3, *i1.pixels.shape), dtype=np.float64)
+    _gradients_into(i1.pixels, i2.pixels, grads)
+    return GradientField(ix=grads[0], iy=grads[1], it=grads[2])
 
 
-def _window_summer(shape: tuple[int, int], radius: int):
-    """Build a function summing each pixel's clipped square window, plus counts.
+def _window_means(planes: np.ndarray, radius: int) -> np.ndarray:
+    """Sum each pixel's (2r+1)^2 window over the last two axes, divided by (2r+1)^2.
 
-    Fields are zero-padded by the window radius so every window lies interior
-    to the padded integral image; the four corner lookups then become plain
-    slices and out-of-image contributions are exactly zero, which equals
-    clipping the window at the image bounds.
+    Works in place with a separable zero-padded box filter, so pixels outside
+    the image add exactly zero: the clipped window sum. The filter keeps a
+    running sum along each row, then each column, so its rounding error grows
+    with one side of the frame, not with its area as an integral image's does.
     """
-    h, w = shape
-    side = 2 * radius + 1
+    for axis in (-2, -1):
+        uniform_filter1d(planes, 2 * radius + 1, axis=axis, output=planes, mode="constant")
+    return planes
 
-    def sum_windows(field: np.ndarray) -> np.ndarray:
-        padded = np.zeros((h + 2 * radius + 1, w + 2 * radius + 1), dtype=np.float64)
-        padded[radius + 1 : radius + 1 + h, radius + 1 : radius + 1 + w] = field
-        ii = padded.cumsum(axis=0).cumsum(axis=1)
-        return (
-            ii[side:, side:][:h, :w]
-            - ii[:h, side:][:, :w]
-            - ii[side:, :w][:h, :]
-            + ii[:h, :w]
-        )
 
-    ys = np.arange(h)
-    xs = np.arange(w)
-    y_extent = np.minimum(ys + radius + 1, h) - np.maximum(ys - radius, 0)
-    x_extent = np.minimum(xs + radius + 1, w) - np.maximum(xs - radius, 0)
-    counts = (y_extent[:, None] * x_extent[None, :]).astype(np.float64)
-    return sum_windows, counts
+def _window_coverage(n: int, radius: int) -> np.ndarray:
+    # Share of a (2r+1)-pixel window that lies inside an n-pixel axis.
+    idx = np.arange(n)
+    inside = np.minimum(idx + radius + 1, n) - np.maximum(idx - radius, 0)
+    return inside / (2 * radius + 1)
 
 
 def _solve_lk(a1: np.ndarray, a2: np.ndarray, p: FlowParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-level Lucas-Kanade on raw pixel arrays; returns (u, v, valid)."""
-    s1 = _smooth_array(a1, p.smooth_sigma)
-    s2 = _smooth_array(a2, p.smooth_sigma)
-    ix, iy, it = _gradient_arrays(s1, s2)
+    """Single-level Lucas-Kanade on raw pixel arrays; returns (u, v, valid).
 
-    sum_windows, counts = _window_summer(a1.shape, p.window_radius)
-    sxx = sum_windows(ix * ix)
-    sxy = sum_windows(ix * iy)
-    syy = sum_windows(iy * iy)
-    sxt = sum_windows(ix * it)
-    syt = sum_windows(iy * it)
+    The five tensor products share one (5, h, w) buffer that is box-summed and
+    solved in place; beyond it the solve needs two scratch planes.
+    """
+    buf = np.empty((5, *a1.shape), dtype=np.float64)
+    _gradients_into(_smooth_array(a1, p.smooth_sigma), _smooth_array(a2, p.smooth_sigma), buf)
+    ix, iy, it = buf[0], buf[1], buf[2]
+    np.multiply(ix, it, out=buf[3])
+    np.multiply(iy, it, out=buf[4])
+    np.multiply(iy, iy, out=buf[2])  # it is no longer needed
+    np.multiply(ix, iy, out=buf[1])
+    np.multiply(ix, ix, out=buf[0])
+    sxx, sxy, syy, sxt, syt = _window_means(buf, p.window_radius)
 
-    # Smaller eigenvalue of the structure tensor, normalized per window pixel.
-    diff = sxx - syy
-    lam_min = 0.5 * ((sxx + syy) - np.sqrt(diff * diff + 4.0 * (sxy * sxy)))
-    det = sxx * syy - sxy * sxy
+    # Smaller eigenvalue of the structure tensor, per window pixel.
+    lam_min = np.subtract(sxx, syy)
+    lam_min *= lam_min
+    scratch = np.multiply(sxy, sxy)
+    scratch *= 4.0
+    lam_min += scratch
+    np.sqrt(lam_min, out=lam_min)
+    np.subtract(np.add(sxx, syy, out=scratch), lam_min, out=lam_min)
+    lam_min *= 0.5
+    # The threshold applies per window pixel that lies inside the image.
+    h, w = a1.shape
+    np.multiply.outer(
+        _window_coverage(h, p.window_radius), _window_coverage(w, p.window_radius), out=scratch
+    )
+    scratch *= p.eigen_threshold
+    valid = lam_min >= scratch
+
+    det = np.multiply(sxx, syy, out=lam_min)
+    det -= np.multiply(sxy, sxy, out=scratch)
     # det > 0 guards the eigen_threshold = 0 edge, where lam_min >= 0 alone
     # would let singular tensors through.
-    valid = (lam_min >= p.eigen_threshold * counts) & (det > 0.0)
+    valid &= det > 0.0
+    invalid = ~valid
 
-    u = np.zeros(a1.shape, dtype=np.float64)
-    v = np.zeros(a1.shape, dtype=np.float64)
-    np.divide(sxy * syt - syy * sxt, det, out=u, where=valid)
-    np.divide(sxy * sxt - sxx * syt, det, out=v, where=valid)
-    return u, v, valid
+    u = np.multiply(sxy, syt, out=scratch)
+    u -= np.multiply(syy, sxt, out=syy)
+    v = np.multiply(sxy, sxt, out=sxy)
+    v -= np.multiply(sxx, syt, out=sxx)
+    for num in (u, v):
+        np.divide(num, det, out=num, where=valid)
+        num[invalid] = 0.0
+    # Free det's plane, then copy v out so the five-plane buffer dies on return.
+    del det, lam_min
+    return u, v.copy(), valid
 
 
 def lucas_kanade(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowField:
@@ -219,6 +243,7 @@ def lucas_kanade(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowFiel
     ignored here (see pyramidal_lk).
     """
     _require_same_shape(i1, i2)
+    _check_fits(i1.width, i1.height, p, 1)
     u, v, valid = _solve_lk(i1.pixels, i2.pixels, p)
     return FlowField(u=u, v=v, valid=valid)
 
@@ -229,23 +254,43 @@ def sample_bilinear(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nd
     Exact copy at integer coordinates; replicate-border beyond the edges.
     """
     h, w = values.shape
-    xs = np.clip(xs, 0.0, float(w - 1))
-    ys = np.clip(ys, 0.0, float(h - 1))
-    x0 = np.minimum(np.floor(xs).astype(np.intp), max(w - 2, 0))
-    y0 = np.minimum(np.floor(ys).astype(np.intp), max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    top = values[y0, x0] * (1.0 - fx) + values[y0, x1] * fx
-    bottom = values[y1, x0] * (1.0 - fx) + values[y1, x1] * fx
-    return top * (1.0 - fy) + bottom * fy
+    fx = np.clip(xs, 0.0, float(w - 1))
+    fy = np.clip(ys, 0.0, float(h - 1))
+    x0 = np.floor(fx)
+    np.minimum(x0, max(w - 2, 0), out=x0)
+    y0 = np.floor(fy)
+    np.minimum(y0, max(h - 2, 0), out=y0)
+    fx -= x0
+    fy -= y0
+    # Flat index of the top-left neighbour; the right and lower neighbours
+    # sit one column and one row further on, except along an axis of length 1.
+    corner = y0.astype(np.intp)
+    corner *= w
+    corner += x0.astype(np.intp)
+    del x0, y0
+    flat = values.ravel()
+
+    def lerp_x(row_start: int) -> np.ndarray:
+        row = np.take(flat[row_start:], corner)
+        row *= 1.0 - fx
+        right = np.take(flat[row_start + int(w > 1):], corner)
+        right *= fx
+        row += right
+        return row
+
+    top = lerp_x(0)
+    bottom = lerp_x(w * int(h > 1))
+    del corner, fx
+    top *= 1.0 - fy
+    bottom *= fy
+    top += bottom
+    return top
 
 
 def _warp_by_flow(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     h, w = a.shape
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    return sample_bilinear(a, xs + u, ys + v)
+    return sample_bilinear(a, np.arange(w, dtype=np.float64) + u,
+                           np.arange(h, dtype=np.float64)[:, None] + v)
 
 
 def _box_downsample(a: np.ndarray) -> np.ndarray:
@@ -259,7 +304,32 @@ def _upsample_flow(f: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     # Nearest-neighbor 2x upsampling; displacements double with resolution.
     ys = np.minimum(np.arange(shape[0]) // 2, f.shape[0] - 1)
     xs = np.minimum(np.arange(shape[1]) // 2, f.shape[1] - 1)
-    return 2.0 * f[np.ix_(ys, xs)]
+    up = f[np.ix_(ys, xs)]
+    up *= 2.0
+    return up
+
+
+def _check_fits(width: int, height: int, p: FlowParams, levels: int) -> None:
+    """Reject windows, pyramids and smoothing kernels the frame cannot hold.
+
+    Runs before anything is allocated, so an oversized parameter fails fast
+    instead of allocating a raster sized by the parameter.
+    """
+    min_dim = min(width, height)
+    side = 2 * p.window_radius + 1
+    # The shift is bounded first, so a huge level count never builds a huge int.
+    if levels - 1 >= min_dim.bit_length() or min_dim < side << (levels - 1):
+        raise PyramidTooDeep(
+            f"{levels} level(s) with window radius {p.window_radius} need min dimension "
+            f">= 2^{levels - 1} * {side}, image is {width}x{height}"
+        )
+    # ceil(3 sigma) > min_dim exactly when 3 sigma > min_dim, and the float
+    # comparison cannot overflow the way ceil(inf) does.
+    if 3.0 * p.smooth_sigma > min_dim:
+        raise PyramidTooDeep(
+            f"smoothing sigma {p.smooth_sigma} needs a kernel radius ceil(3 sigma) "
+            f"<= min dimension, image is {width}x{height}"
+        )
 
 
 def pyramidal_lk(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowField:
@@ -270,32 +340,25 @@ def pyramidal_lk(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowFiel
     to lucas_kanade.
     """
     _require_same_shape(i1, i2)
-    min_dim = min(i1.width, i1.height)
-    need = (1 << (p.pyramid_levels - 1)) * (2 * p.window_radius + 1)
-    if min_dim < need:
-        raise PyramidTooDeep(
-            f"{p.pyramid_levels} levels with window radius {p.window_radius} "
-            f"need min dimension >= {need}, image is {i1.width}x{i1.height}"
-        )
+    _check_fits(i1.width, i1.height, p, p.pyramid_levels)
 
     levels = [(i1.pixels, i2.pixels)]
     for _ in range(p.pyramid_levels - 1):
         a1, a2 = levels[-1]
         levels.append((_box_downsample(a1), _box_downsample(a2)))
 
-    u = np.zeros(levels[-1][0].shape, dtype=np.float64)
-    v = np.zeros_like(u)
-    valid = np.zeros(levels[-1][0].shape, dtype=bool)
-    for level, (a1, a2) in enumerate(reversed(levels)):
-        if level > 0:
-            u = _upsample_flow(u, a1.shape)
-            v = _upsample_flow(v, a1.shape)
+    u, v, valid = _solve_lk(*levels.pop(), p)
+    for a1, a2 in reversed(levels):
+        u = _upsample_flow(u, a1.shape)
+        v = _upsample_flow(v, a1.shape)
         if u.any() or v.any():
             a2 = _warp_by_flow(a2, u, v)
         du, dv, valid = _solve_lk(a1, a2, p)
-        u = u + du
-        v = v + dv
-
-    u = np.where(valid, u, 0.0)
-    v = np.where(valid, v, 0.0)
+        u += du
+        v += dv
+    if p.pyramid_levels > 1:
+        # Coarser estimates carry through pixels the finest level rejects.
+        invalid = ~valid
+        u[invalid] = 0.0
+        v[invalid] = 0.0
     return FlowField(u=u, v=v, valid=valid)

@@ -5,17 +5,26 @@ magnitude sqrt(u^2 + v^2) over a region's valid flow pixels. Reference mode
 measures every frame against frame 0 (the neutral face); consecutive mode
 measures frame-to-frame motion. Values are optionally normalized by the image
 diagonal so they are resolution-independent.
+
+Frame pairs are independent, so they are solved on a thread pool with one
+worker per available CPU; numpy and scipy release the interpreter lock in
+the flow solve. Each pair's row is stored by its index, so the series is
+identical whatever the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySequence, UnknownRegion
-from .flow import FlowField, FlowParams, lucas_kanade, pyramidal_lk
+# lucas_kanade is not called here but stays importable by this module's name:
+# perfbench/tracing.py wraps both flow entry points where intensity looks them up.
+from .flow import FlowField, FlowParams, lucas_kanade, pyramidal_lk  # noqa: F401
 from .imageio import FrameSequence
 from .regions import GridSpec, RegionMap, region_mask
 
@@ -127,18 +136,20 @@ def intensity_series(
     names = region_map.names()
     masks = [region_mask(grid, region_map, name) for name in names]
     diag = math.hypot(seq.width, seq.height)
-    solve = lucas_kanade if params.pyramid_levels == 1 else pyramidal_lk
+
+    def pair_row(t: int) -> list[tuple[float, int]]:
+        first = seq[0] if mode == "reference" else seq[t - 1]
+        flow = pyramidal_lk(first, seq[t], params)
+        return [region_mean_magnitude(flow, mask, normalize=normalize, diag=diag) for mask in masks]
 
     n = len(seq)
     values = np.zeros((n - 1, len(names)), dtype=np.float64)
     counts = np.zeros((n - 1, len(names)), dtype=np.int64)
-    for t in range(1, n):
-        first = seq[0] if mode == "reference" else seq[t - 1]
-        flow = solve(first, seq[t], params)
-        for j, mask in enumerate(masks):
-            values[t - 1, j], counts[t - 1, j] = region_mean_magnitude(
-                flow, mask, normalize=normalize, diag=diag
-            )
+    # Peak memory grows by about one pair's working set per extra worker.
+    with ThreadPoolExecutor(max_workers=min(_available_cpus(), n - 1)) as pool:
+        for i, row in enumerate(pool.map(pair_row, range(1, n))):
+            for j, (value, count) in enumerate(row):
+                values[i, j], counts[i, j] = value, count
 
     return IntensitySeries(
         regions=names,
@@ -148,3 +159,10 @@ def intensity_series(
         mode=mode,
         counts=counts,
     )
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from faceflow import IntensitySeries, build_report
+import faceflow.intensity
+from faceflow import DimensionMismatch, IntensitySeries, build_report
 from faceflow.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
@@ -168,6 +170,40 @@ class TestSeries:
         )
         assert code == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--window-radius", "100000"),
+            ("--eigen-threshold", "nan"),
+            ("--sigma", "inf"),
+            ("--sigma", "1e7"),
+            ("--pyramid-levels", "1000000000000"),
+        ],
+    )
+    def test_unusable_flow_parameter_is_config_error(self, mouth_run, tmp_path, capsys, flag, value):
+        code = main(["series", "--frames", str(mouth_run / "frames"), flag, value,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "series.csv").exists()
+
+    def test_error_in_a_worker_is_data_error(self, mouth_run, tmp_path, capsys, monkeypatch):
+        solve = faceflow.intensity.pyramidal_lk
+        calls = []
+
+        def failing_solve(i1, i2, params):
+            calls.append(threading.current_thread() is threading.main_thread())
+            if len(calls) == 5:
+                raise DimensionMismatch("frame pair 5 failed")
+            return solve(i1, i2, params)
+
+        monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(faceflow.intensity, "pyramidal_lk", failing_solve)
+        code = main(["series", "--frames", str(mouth_run / "frames"), "--out", str(tmp_path)])
+        assert code == EXIT_DATA_ERROR
+        assert capsys.readouterr().err == "error: frame pair 5 failed\n"
+        assert calls and not any(calls)  # every pair ran on a worker thread
+
     def test_unknown_flag(self, capsys):
         assert main(["series", "--framez", "x"]) == EXIT_CONFIG_ERROR
 
@@ -228,6 +264,21 @@ class TestAnalyze:
         csv.write_text("frame,a\n1,0.5\n2,oops\n")
         assert main(["analyze", "--series", str(csv), "--out", str(tmp_path)]) == EXIT_DATA_ERROR
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("frame,mouth,mouth\n1,0.1,0.2\n2,0.3,0.4\n", "line 1"),
+            ("frame,a\n5,0.1\n2,0.2\n2,0.3\n", "line 3"),
+            ("frame,a\n1,0.1\n2,0.2\n2,0.3\n", "line 4"),
+        ],
+    )
+    def test_ambiguous_csv_is_data_error(self, tmp_path, capsys, text, line):
+        csv = tmp_path / "series.csv"
+        csv.write_text(text)
+        assert main(["analyze", "--series", str(csv), "--out", str(tmp_path)]) == EXIT_DATA_ERROR
+        assert line in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_empty_body_csv(self, tmp_path, capsys):
         csv = tmp_path / "empty.csv"

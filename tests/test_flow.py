@@ -20,6 +20,7 @@ from faceflow import (
     spatiotemporal_gradients,
     translate_sequence,
 )
+from faceflow.flow import _window_means
 
 INTERIOR = 9  # margin past the default window radius, clear of border effects
 
@@ -102,6 +103,42 @@ class TestGradients:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             spatiotemporal_gradients(Image(np.zeros((4, 4))), Image(np.zeros((5, 4))))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (5, 2)])
+    def test_narrow_frames_use_replicate_border(self, shape):
+        rng = np.random.default_rng(3)
+        a, b = rng.random(shape), rng.random(shape)
+        g = spatiotemporal_gradients(Image(a), Image(b))
+        p = np.pad((a + b) * 0.5, 1, mode="edge")
+        assert np.array_equal(g.ix, (p[1:-1, 2:] - p[1:-1, :-2]) * 0.5)
+        assert np.array_equal(g.iy, (p[2:, 1:-1] - p[:-2, 1:-1]) * 0.5)
+        assert np.array_equal(g.it, b - a)
+
+
+class TestWindowMeans:
+    def test_full_hd_matches_exact_sums(self):
+        # An integral image's rounding error grows with the frame area: on
+        # this field it is 1.4e-12 relative at the far corner. The separable
+        # filter must stay within 1e-12 of math.fsum there and elsewhere.
+        h, w, r = 1080, 1920, 7
+        rng = np.random.default_rng(0)
+        field = rng.random((h, w))
+        means = _window_means(field[None].copy(), r)[0]
+        pixels = [(h - 1, w - 1), (0, 0)]
+        pixels += [(int(y), int(x)) for y, x in zip(rng.integers(0, h, 60), rng.integers(0, w, 60))]
+        for y, x in pixels:
+            window = field[max(y - r, 0) : y + r + 1, max(x - r, 0) : x + r + 1]
+            exact = math.fsum(window.ravel()) / (2 * r + 1) ** 2
+            assert abs(means[y, x] - exact) <= 1e-12 * exact, (y, x)
+
+    def test_planes_summed_independently_in_place(self):
+        rng = np.random.default_rng(1)
+        planes = rng.random((3, 9, 11))
+        expected = [_window_means(plane[None].copy(), 2)[0] for plane in planes]
+        out = _window_means(planes, 2)
+        assert out is planes
+        for got, want in zip(planes, expected):
+            assert np.array_equal(got, want)
 
 
 class TestSampleBilinear:
@@ -259,6 +296,28 @@ class TestPyramidalLk:
         with pytest.raises(PyramidTooDeep):
             pyramidal_lk(img, img, FlowParams(pyramid_levels=5))
 
+    @pytest.mark.parametrize("solve", [lucas_kanade, pyramidal_lk])
+    def test_single_level_window_must_fit(self, solve):
+        img = Image(np.zeros((120, 160)))
+        solve(img, img, FlowParams(window_radius=59))  # 119-pixel window fits
+        with pytest.raises(PyramidTooDeep):
+            solve(img, img, FlowParams(window_radius=60))
+        with pytest.raises(PyramidTooDeep):
+            solve(img, img, FlowParams(window_radius=100000))
+
+    @pytest.mark.parametrize("solve", [lucas_kanade, pyramidal_lk])
+    def test_smoothing_radius_must_fit(self, solve):
+        img = Image(np.zeros((30, 40)))
+        solve(img, img, FlowParams(smooth_sigma=10.0))  # radius 30 fits
+        for sigma in (10.001, 1e7, 1e308):
+            with pytest.raises(PyramidTooDeep):
+                solve(img, img, FlowParams(smooth_sigma=sigma))
+
+    def test_huge_level_count_rejected(self):
+        img = Image(np.zeros((16, 16)))
+        with pytest.raises(PyramidTooDeep):
+            pyramidal_lk(img, img, FlowParams(pyramid_levels=10**12))
+
     def test_lucas_kanade_ignores_levels(self):
         i1, i2 = shifted_pair(48, 48, 0.5, 0.0, 2)
         a = lucas_kanade(i1, i2, FlowParams())
@@ -282,6 +341,10 @@ class TestFlowParams:
             {"smooth_sigma": -0.5},
             {"eigen_threshold": -1e-9},
             {"pyramid_levels": 0},
+            {"smooth_sigma": math.inf},
+            {"smooth_sigma": math.nan},
+            {"eigen_threshold": math.nan},
+            {"eigen_threshold": math.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):

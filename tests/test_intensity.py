@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+
+import faceflow.intensity
 
 from faceflow import (
     DimensionMismatch,
@@ -219,3 +224,53 @@ class TestIntensitySeries:
             int(region_mask(grid, rmap, name).sum()) for name in rmap.names()
         ]
         assert series.counts[0].tolist() == mask_sizes
+
+
+class TestConcurrentPairs:
+    @pytest.mark.parametrize(
+        "mode, levels", [("reference", 1), ("consecutive", 1), ("reference", 3)]
+    )
+    def test_worker_count_does_not_change_the_series(self, monkeypatch, mode, levels):
+        grid = make_grid(128, 96, 6, 4)
+        rmap = default_region_map()
+        motions = (
+            RegionMotion("mouth", amplitude=3.0, onset=1, apex=4, offset=8),
+            RegionMotion("cheeks", amplitude=1.0, onset=2, apex=5, offset=8),
+        )
+        seq, _ = synth_expression(128, 96, grid, rmap, motions, 9, seed=5)
+        params = FlowParams(pyramid_levels=levels)
+        solve = faceflow.intensity.pyramidal_lk
+
+        def run(workers):
+            threads = []
+
+            def recording_solve(*args):
+                threads.append(threading.get_ident())
+                return solve(*args)
+
+            monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: workers)
+            monkeypatch.setattr(faceflow.intensity, "pyramidal_lk", recording_solve)
+            return intensity_series(seq, grid, rmap, params, mode=mode), threads
+
+        many = faceflow.intensity._available_cpus() + 2
+        serial, serial_threads = run(1)
+        # More workers than CPUs, with frequent thread switches.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel, parallel_threads = run(many)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert len(serial_threads) == len(parallel_threads) == len(seq) - 1
+        assert len(set(serial_threads)) == 1
+        assert len(set(parallel_threads)) > 1
+        assert np.array_equal(serial.values, parallel.values)
+        assert np.array_equal(serial.counts, parallel.counts)
+        assert serial.values.any()
+
+    def test_empty_region_map_gives_empty_rows(self):
+        frame = make_texture(32, 32, seed=0)
+        seq = FrameSequence((frame, frame, frame))
+        series = intensity_series(seq, make_grid(32, 32, 2, 2), parse_region_map("", rows=2, cols=2))
+        assert series.values.shape == (2, 0) and series.counts.shape == (2, 0)
