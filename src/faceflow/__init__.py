@@ -21,6 +21,8 @@ from .analysis import (
 from .errors import (
     AmplitudeTooLarge,
     CellOutOfGrid,
+    ConfigError,
+    DataError,
     DegenerateGrid,
     DimensionMismatch,
     EmptySequence,
@@ -138,6 +140,8 @@ __all__ = [
     "synth_expression",
     # errors
     "FaceflowError",
+    "DataError",
+    "ConfigError",
     "MalformedHeader",
     "TruncatedPayload",
     "UnsupportedMaxval",

@@ -25,27 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import AnalysisParams, ExpressionReport, build_report
-from .errors import (
-    AmplitudeTooLarge,
-    CellOutOfGrid,
-    DegenerateGrid,
-    DimensionMismatch,
-    EmptySequence,
-    EmptySeries,
-    EvenWindow,
-    ExcessiveShift,
-    InvalidThreshold,
-    MalformedHeader,
-    OutOfBounds,
-    OverlappingCells,
-    ParseError,
-    PyramidTooDeep,
-    SeriesFormatError,
-    TooSmall,
-    TruncatedPayload,
-    UnknownRegion,
-    UnsupportedMaxval,
-)
+from .errors import ConfigError, DataError, ParseError, SeriesFormatError
 from .flow import FlowParams
 from .imageio import encode_pgm, load_sequence
 from .intensity import IntensitySeries, intensity_series
@@ -72,35 +52,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit 2; config errors are 3
         raise _UsageError(message)
-
-
-_CONFIG_ERRORS = (
-    _UsageError,
-    ValueError,
-    DegenerateGrid,
-    OutOfBounds,
-    ParseError,
-    OverlappingCells,
-    CellOutOfGrid,
-    UnknownRegion,
-    EvenWindow,
-    InvalidThreshold,
-    PyramidTooDeep,
-    TooSmall,
-    ExcessiveShift,
-    AmplitudeTooLarge,
-)
-_DATA_ERRORS = (
-    MalformedHeader,
-    TruncatedPayload,
-    UnsupportedMaxval,
-    EmptySequence,
-    DimensionMismatch,
-    EmptySeries,
-    SeriesFormatError,
-    OSError,
-    UnicodeDecodeError,
-)
 
 
 def _choice_of(*allowed: str) -> Callable[[str], str]:
@@ -251,7 +202,10 @@ def _load_region_map(cfg: dict) -> RegionMap:
             raise _UsageError(f"region map {cfg['regions']}: {exc}") from exc
     else:
         text = default_region_text()
-    return parse_region_map(text, rows=cfg["rows"], cols=cfg["cols"])
+    region_map = parse_region_map(text, rows=cfg["rows"], cols=cfg["cols"])
+    if not region_map.names():
+        raise ParseError(f"region map {cfg['regions']} defines no regions")
+    return region_map
 
 
 def _flow_params(cfg: dict) -> FlowParams:
@@ -264,9 +218,9 @@ def _flow_params(cfg: dict) -> FlowParams:
 
 
 def _compute_series(cfg: dict) -> IntensitySeries:
+    region_map = _load_region_map(cfg)
     seq = load_sequence(cfg["frames"], cfg["pattern"])
     grid = make_grid(seq.width, seq.height, cfg["rows"], cfg["cols"])
-    region_map = _load_region_map(cfg)
     return intensity_series(
         seq,
         grid,
@@ -575,10 +529,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     # Data errors first: UnicodeDecodeError is a ValueError subclass but
     # signals unreadable input, not misconfiguration.
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    except _CONFIG_ERRORS as exc:
+    except (ConfigError, _UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 __all__ = [
     "FaceflowError",
+    "DataError",
+    "ConfigError",
     "MalformedHeader",
     "TruncatedPayload",
     "UnsupportedMaxval",
@@ -30,77 +32,85 @@ class FaceflowError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class MalformedHeader(FaceflowError):
+class DataError(FaceflowError):
+    """The input data is unreadable or inconsistent (CLI exit code 2)."""
+
+
+class ConfigError(FaceflowError):
+    """A parameter, option or region map is invalid (CLI exit code 3)."""
+
+
+class MalformedHeader(DataError):
     """Buffer does not start with a valid binary PGM/PPM header."""
 
 
-class TruncatedPayload(FaceflowError):
+class TruncatedPayload(DataError):
     """Pixel payload ends before the header-declared sample count."""
 
 
-class UnsupportedMaxval(FaceflowError):
+class UnsupportedMaxval(DataError):
     """Header maxval exceeds the 8-bit range this decoder supports."""
 
 
-class EmptySequence(FaceflowError):
+class EmptySequence(DataError):
     """No frames matched the requested directory and pattern."""
 
 
-class DimensionMismatch(FaceflowError):
+class DimensionMismatch(DataError):
     """Rasters that must share dimensions do not."""
 
 
-class PyramidTooDeep(FaceflowError):
+class PyramidTooDeep(ConfigError):
     """Image too small for the requested number of pyramid levels."""
 
 
-class DegenerateGrid(FaceflowError):
+class DegenerateGrid(ConfigError):
     """Grid rows/cols do not fit the frame dimensions."""
 
 
-class OutOfBounds(FaceflowError):
+class OutOfBounds(ConfigError):
     """Pixel coordinate lies outside the frame."""
 
 
-class UnknownRegion(FaceflowError):
+class UnknownRegion(ConfigError):
     """Region name not present in the region map."""
 
 
-class ParseError(FaceflowError):
+class ParseError(ConfigError):
     """Region-map text violates the line grammar."""
 
 
-class OverlappingCells(FaceflowError):
+class OverlappingCells(ConfigError):
     """Two regions claim the same grid cell."""
 
 
-class CellOutOfGrid(FaceflowError):
+class CellOutOfGrid(ConfigError):
     """Region references a cell outside the grid."""
 
 
-class EvenWindow(FaceflowError):
+class EvenWindow(ConfigError):
     """Moving-average window must be odd."""
 
 
-class InvalidThreshold(FaceflowError):
+class InvalidThreshold(ConfigError):
     """Event-detection parameter outside its valid range."""
 
 
-class EmptySeries(FaceflowError):
+class EmptySeries(DataError):
     """Intensity series has no rows or no regions."""
 
 
-class TooSmall(FaceflowError):
+class TooSmall(ConfigError):
     """Requested texture dimensions below the generator minimum."""
 
 
-class ExcessiveShift(FaceflowError):
+class ExcessiveShift(ConfigError):
     """Cumulative translation too large for the frame size."""
 
 
-class AmplitudeTooLarge(FaceflowError):
+class AmplitudeTooLarge(ConfigError):
     """Region displacement amplitude exceeds a quarter of the cell size."""
 
 
-class SeriesFormatError(FaceflowError):
+class SeriesFormatError(DataError):
     """series.csv content does not match the expected layout."""

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d, uniform_filter1d
 
 from .errors import DimensionMismatch, PyramidTooDeep
 from .imageio import Image
@@ -114,6 +113,8 @@ def _require_same_shape(i1: Image, i2: Image) -> None:
 def _smooth_array(pixels: np.ndarray, sigma: float) -> np.ndarray:
     if sigma == 0:
         return pixels
+    from scipy.ndimage import correlate1d  # here: commands without it skip scipy
+
     radius = math.ceil(3 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
@@ -172,6 +173,8 @@ def _window_means(planes: np.ndarray, radius: int) -> np.ndarray:
     running sum along each row, then each column, so its rounding error grows
     with one side of the frame, not with its area as an integral image's does.
     """
+    from scipy.ndimage import uniform_filter1d  # here: commands without it skip scipy
+
     for axis in (-2, -1):
         uniform_filter1d(planes, 2 * radius + 1, axis=axis, output=planes, mode="constant")
     return planes

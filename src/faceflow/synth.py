@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .errors import AmplitudeTooLarge, DimensionMismatch, ExcessiveShift, TooSmall, UnknownRegion
 from .flow import sample_bilinear
@@ -176,6 +175,8 @@ def synth_expression(
     limit = cell_min / 4.0
     weights: dict[str, np.ndarray] = {}
     profiles: dict[str, np.ndarray] = {}
+    from scipy.ndimage import distance_transform_edt  # here: commands without it skip scipy
+
     for motion in motions:
         if motion.region not in region_map:
             raise UnknownRegion(f"no region named {motion.region!r}")

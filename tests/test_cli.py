@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import faceflow.cli
+import faceflow.errors
 import faceflow.intensity
-from faceflow import DimensionMismatch, IntensitySeries, build_report
+from faceflow import ConfigError, DataError, DimensionMismatch, IntensitySeries, build_report
 from faceflow.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
@@ -456,3 +463,84 @@ class TestTopLevel:
             main(["--help"])
         assert info.value.code == 0
         assert "synth" in capsys.readouterr().out
+
+
+def _empty_region_map(tmp_path):
+    layout = tmp_path / "comments.regions"
+    layout.write_text("# every region commented out\n# region mouth = r5c1\n")
+    return layout
+
+
+class TestEmptyRegionMap:
+    @pytest.mark.parametrize("command", ["series", "analyze"])
+    def test_rejected_before_any_frame_is_decoded(self, mouth_run, tmp_path, capsys, monkeypatch,
+                                                  command):
+        monkeypatch.setattr(faceflow.cli, "load_sequence",
+                            lambda *args: pytest.fail("frames decoded for an empty region map"))
+        code = main([command, "--frames", str(mouth_run / "frames"),
+                     "--regions", str(_empty_region_map(tmp_path)), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "comments.regions defines no regions" in capsys.readouterr().err
+        assert not (tmp_path / "series.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
+    def test_synth_active_rejected(self, tmp_path, capsys):
+        out = tmp_path / "frames"
+        code = main(["synth", "--out", str(out), "--count", "5", "--active", "mouth:1:1:2:3",
+                     "--regions", str(_empty_region_map(tmp_path))])
+        assert code == EXIT_CONFIG_ERROR
+        assert "defines no regions" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestErrorCategories:
+    def test_every_error_is_data_or_config(self):
+        bases = {"FaceflowError", "DataError", "ConfigError"}
+        for name in set(faceflow.errors.__all__) - bases:
+            cls = getattr(faceflow.errors, name)
+            assert issubclass(cls, DataError) != issubclass(cls, ConfigError), name
+
+
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this checkout's faceflow."""
+    src = str(Path(faceflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestScipyLoadedOnlyByKernels:
+    def test_analyze_plot_and_help_leave_scipy_unloaded(self, mouth_run, tmp_path):
+        csv, out = mouth_run / "series.csv", tmp_path
+        proc = _run_fresh(f"""
+            import contextlib, io, sys
+            import faceflow, faceflow.cli
+            from faceflow.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["analyze", "--series", {str(csv)!r}, "--out", {str(out)!r}]) == 0
+                assert main(["plot", "--series", {str(csv)!r}, "--out", {str(out)!r}]) == 0
+                try:
+                    main(["--help"])
+                except SystemExit as exc:
+                    assert exc.code == 0
+            print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert (out / "report.json").exists() and (out / "plot.svg").exists()
+
+    def test_series_imports_scipy_inside_the_pool(self, mouth_run, tmp_path):
+        proc = _run_fresh(f"""
+            import sys
+            import faceflow.intensity
+            from faceflow.cli import main
+            faceflow.intensity._available_cpus = lambda: 2
+            assert "scipy" not in sys.modules
+            code = main(["series", "--frames", {str(mouth_run / "frames")!r},
+                         "--out", {str(tmp_path)!r}])
+            assert "scipy.ndimage" in sys.modules
+            sys.exit(code)
+        """)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (tmp_path / "series.csv").read_bytes() == (mouth_run / "series.csv").read_bytes()
