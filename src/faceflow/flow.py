@@ -30,6 +30,7 @@ __all__ = [
     "gaussian_smooth",
     "spatiotemporal_gradients",
     "lucas_kanade",
+    "flow_support",
     "pyramidal_lk",
     "sample_bilinear",
 ]
@@ -333,6 +334,37 @@ def _check_fits(width: int, height: int, p: FlowParams, levels: int) -> None:
             f"smoothing sigma {p.smooth_sigma} needs a kernel radius ceil(3 sigma) "
             f"<= min dimension, image is {width}x{height}"
         )
+
+
+def flow_support(region: np.ndarray, p: FlowParams) -> tuple[slice, slice]:
+    """Frame rows and columns that pyramidal_lk needs for exact flow on a region.
+
+    region is a boolean (height, width) mask. Single-level flow at a pixel
+    reads the frame within window_radius + 1 + ceil(3 sigma) of it: the
+    window, the central difference and the smoothing kernel. The support is
+    the region's bounding box grown by that halo, clipped to the frame, and
+    at least one window side long. With more than one pyramid level the warp
+    samples at x + u, so the support is the whole frame, as it is for an
+    empty region.
+
+    Checks first that the frame fits p, so an error names the frame's size.
+    """
+    height, width = region.shape
+    _check_fits(width, height, p, p.pyramid_levels)
+    if p.pyramid_levels > 1 or not region.any():
+        return slice(0, height), slice(0, width)
+    halo = p.window_radius + 1 + math.ceil(3 * p.smooth_sigma)
+    side = 2 * p.window_radius + 1
+
+    def grow(hits: np.ndarray) -> slice:
+        inside, n = np.flatnonzero(hits), hits.size
+        lo, hi = max(int(inside[0]) - halo, 0), min(int(inside[-1]) + 1 + halo, n)
+        if hi - lo < side:  # clipped at a frame edge; the frame fits a side
+            lo = min(lo, n - side)
+            hi = lo + side
+        return slice(lo, hi)
+
+    return grow(region.any(axis=1)), grow(region.any(axis=0))
 
 
 def pyramidal_lk(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowField:

@@ -6,10 +6,12 @@ measures every frame against frame 0 (the neutral face); consecutive mode
 measures frame-to-frame motion. Values are optionally normalized by the image
 diagonal so they are resolution-independent.
 
-Frame pairs are independent, so they are solved on a thread pool with one
-worker per available CPU; numpy and scipy release the interpreter lock in
-the flow solve. Each pair's row is stored by its index, so the series is
-identical whatever the worker count.
+Flow is solved only on the regions' bounding box grown by the flow's
+support halo (see flow.flow_support), the part of the frame the regions'
+flow depends on. Frame pairs are independent, so they are solved on a
+thread pool with one worker per available CPU; numpy and scipy release the
+interpreter lock in the flow solve. Each pair's row is stored by its index,
+so the series is identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySequence, UnknownRegion
 # lucas_kanade is not called here but stays importable by this module's name:
 # perfbench/tracing.py wraps both flow entry points where intensity looks them up.
-from .flow import FlowField, FlowParams, lucas_kanade, pyramidal_lk  # noqa: F401
-from .imageio import FrameSequence
+from .flow import FlowField, FlowParams, flow_support, lucas_kanade, pyramidal_lk  # noqa: F401
+from .imageio import FrameSequence, Image
 from .regions import GridSpec, RegionMap, region_mask
 
 __all__ = [
@@ -136,10 +138,16 @@ def intensity_series(
     names = region_map.names()
     masks = [region_mask(grid, region_map, name) for name in names]
     diag = math.hypot(seq.width, seq.height)
+    union = np.zeros((seq.height, seq.width), dtype=bool)
+    for mask in masks:
+        union |= mask
+    box = flow_support(union, params)
+    masks = [mask[box] for mask in masks]
+    reference = Image(seq[0].pixels[box])
 
     def pair_row(t: int) -> list[tuple[float, int]]:
-        first = seq[0] if mode == "reference" else seq[t - 1]
-        flow = pyramidal_lk(first, seq[t], params)
+        first = reference if mode == "reference" else Image(seq[t - 1].pixels[box])
+        flow = pyramidal_lk(first, Image(seq[t].pixels[box]), params)
         return [region_mean_magnitude(flow, mask, normalize=normalize, diag=diag) for mask in masks]
 
     n = len(seq)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import faceflow.cli
 import faceflow.errors
@@ -463,6 +466,63 @@ class TestTopLevel:
             main(["--help"])
         assert info.value.code == 0
         assert "synth" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A 40x30, four-frame translation sequence and a scratch output directory."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert main(["synth", "--out", str(root / "frames"), "--width", "40", "--height", "30",
+                 "--count", "4", "--dx", "0.4", "--seed", "3"]) == EXIT_OK
+    return root
+
+
+def _mostly(usual, unusual):
+    """Draw from ``usual`` four times in five, else from ``unusual``."""
+    return st.integers(0, 4).flatmap(lambda k: usual if k < 4 else unusual)
+
+
+@st.composite
+def _grid_and_region_text(draw):
+    rows = draw(_mostly(st.integers(1, 8), st.integers(-1, 32)))
+    cols = draw(_mostly(st.integers(1, 6), st.integers(-1, 42)))
+    cell = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
+    cells = draw(st.lists(cell, min_size=1, max_size=6, unique=True))
+    cells += draw(_mostly(st.just([]), st.just([(max(rows, 0), 0)])))  # outside the grid
+    split = draw(st.integers(0, len(cells) - 1))
+    text = "".join(f"region {name} = {', '.join(f'r{r}c{c}' for r, c in part)}\n"
+                   for name, part in (("a", cells[:split]), ("b", cells[split:])) if part)
+    return rows, cols, text
+
+
+class TestSeriesFuzz:
+    @given(
+        grid=_grid_and_region_text(),
+        radius=_mostly(st.integers(1, 6), st.sampled_from([-1, 0, 15, 10**12])),
+        sigma=_mostly(st.floats(0, 4).map(repr),
+                      st.sampled_from(["nan", "inf", "-inf", "1e308", "11", "-1", "-0.0"])),
+        levels=_mostly(st.integers(1, 2), st.sampled_from([-1, 0, 3, 4, 10**12])),
+        mode=_mostly(st.sampled_from(["reference", "consecutive"]), st.just("sideways")),
+    )
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exits_with_a_known_code_and_no_traceback(self, tiny_run, grid, radius, sigma,
+                                                      levels, mode):
+        rows, cols, text = grid
+        layout = tiny_run / "fuzz.regions"
+        layout.write_text(text)
+        out = tiny_run / "out"
+        (out / "series.csv").unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            # --flag=value, so that negative numbers are not read as flags.
+            code = main(["series", f"--frames={tiny_run / 'frames'}", f"--regions={layout}",
+                         f"--rows={rows}", f"--cols={cols}", f"--window-radius={radius}",
+                         f"--sigma={sigma}", f"--pyramid-levels={levels}", f"--mode={mode}",
+                         f"--out={out}"])
+        assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_CONFIG_ERROR)
+        assert "Traceback" not in err.getvalue()
+        assert (code == EXIT_OK) == (err.getvalue() == "") == (out / "series.csv").exists()
 
 
 def _empty_region_map(tmp_path):

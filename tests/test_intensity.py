@@ -12,6 +12,7 @@ import faceflow.intensity
 
 from faceflow import (
     DimensionMismatch,
+    PyramidTooDeep,
     EmptySequence,
     FlowParams,
     FlowVector,
@@ -31,7 +32,7 @@ from faceflow import (
     RegionMotion,
     UnknownRegion,
 )
-from faceflow.flow import FlowField
+from faceflow.flow import FlowField, pyramidal_lk
 
 
 def uniform_field(height, width, u, v, valid=True):
@@ -274,3 +275,65 @@ class TestConcurrentPairs:
         seq = FrameSequence((frame, frame, frame))
         series = intensity_series(seq, make_grid(32, 32, 2, 2), parse_region_map("", rows=2, cols=2))
         assert series.values.shape == (2, 0) and series.counts.shape == (2, 0)
+
+
+def full_frame_series(seq, grid, rmap, params, mode):
+    """Flow on whole frames, then each region's normalized mean and count."""
+    masks = [region_mask(grid, rmap, name) for name in rmap.names()]
+    diag = np.hypot(seq.width, seq.height)
+    rows = []
+    for t in range(1, len(seq)):
+        flow = pyramidal_lk(seq[0] if mode == "reference" else seq[t - 1], seq[t], params)
+        rows.append([region_mean_magnitude(flow, mask, normalize=True, diag=diag) for mask in masks])
+    return np.array([[v for v, _ in row] for row in rows]), np.array([[c for _, c in row] for row in rows])
+
+
+class TestFlowBox:
+    # (width, height, rows, cols, region map text, flow params)
+    CASES = {
+        "mid-frame cell": (128, 96, 6, 4, "region a = r2c1\n", FlowParams()),
+        "opposite corners": (128, 96, 6, 4, "region a = r0c0\nregion b = r5c3\n", FlowParams()),
+        "sigma 0 radius 2": (128, 96, 6, 4, "region a = r2c1\n",
+                             FlowParams(window_radius=2, smooth_sigma=0.0)),
+        "sigma 2.5 radius 3": (128, 96, 6, 4, "region a = r3c2\n",
+                               FlowParams(window_radius=3, smooth_sigma=2.5)),
+        # The grown box (12 rows at the top edge) is shorter than a window
+        # side, so the support is stretched to 15 rows.
+        "thin edge region": (96, 72, 72, 4, "region top = r0c1\n", FlowParams()),
+    }
+
+    @pytest.mark.parametrize("mode", ["reference", "consecutive"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_frame_flow(self, case, mode):
+        width, height, rows, cols, text, params = self.CASES[case]
+        grid = make_grid(width, height, rows, cols)
+        rmap = parse_region_map(text, rows=rows, cols=cols)
+        seq, _ = translate_sequence(make_texture(width, height, seed=7), 0.35, -0.2, 4)
+        series = intensity_series(seq, grid, rmap, params, mode=mode)
+        values, counts = full_frame_series(seq, grid, rmap, params, mode)
+        assert np.array_equal(series.counts, counts)
+        assert counts.min() > 0
+        np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("levels, shape", [(1, (86, 128)), (2, (96, 128))])
+    def test_solve_sees_the_box(self, monkeypatch, levels, shape):
+        # Default map on 128x96: rows 16-79 plus an 11-pixel halo, all columns.
+        shapes = []
+        solve = faceflow.intensity.pyramidal_lk
+
+        def recording_solve(i1, i2, p):
+            shapes.append((i1.pixels.shape, i2.pixels.shape))
+            return solve(i1, i2, p)
+
+        monkeypatch.setattr(faceflow.intensity, "pyramidal_lk", recording_solve)
+        seq, _ = translate_sequence(make_texture(128, 96, seed=1), 0.3, 0.0, 4)
+        intensity_series(seq, make_grid(128, 96), default_region_map(),
+                         FlowParams(pyramid_levels=levels))
+        assert shapes == [(shape, shape)] * 3
+
+    def test_oversized_window_names_the_frame(self):
+        seq, _ = translate_sequence(make_texture(96, 72, seed=0), 0.3, 0.0, 3)
+        grid = make_grid(96, 72, 72, 4)
+        rmap = parse_region_map("region top = r0c1\n", rows=72, cols=4)
+        with pytest.raises(PyramidTooDeep, match="image is 96x72"):
+            intensity_series(seq, grid, rmap, FlowParams(window_radius=40))
