@@ -118,7 +118,11 @@ def _smooth_array(pixels: np.ndarray, sigma: float) -> np.ndarray:
 
     radius = math.ceil(3 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+    # Below sigma ~ 1e-154, 2 sigma^2 is subnormal or 0, and the exponent
+    # would overflow or be 0/0. Floored at the smallest normal float it stays
+    # finite, and the weights are an exact delta, as for any sigma below ~0.03.
+    two_var = max(2.0 * sigma * sigma, np.finfo(np.float64).tiny)
+    kernel = np.exp(-(offsets * offsets) / two_var)
     kernel /= kernel.sum()
     out = correlate1d(pixels, kernel, axis=0, mode="nearest")
     correlate1d(out, kernel, axis=1, output=out, mode="nearest")

@@ -8,10 +8,15 @@ diagonal so they are resolution-independent.
 
 Flow is solved only on the regions' bounding box grown by the flow's
 support halo (see flow.flow_support), the part of the frame the regions'
-flow depends on. Frame pairs are independent, so they are solved on a
-thread pool with one worker per available CPU; numpy and scipy release the
-interpreter lock in the flow solve. Each pair's row is stored by its index,
-so the series is identical whatever the worker count.
+flow depends on. Work that is the same for every pair is done once per run:
+at one pyramid level the reference frame is smoothed once (smoothing is the
+first step of the single-level solve, so smoothing first and solving with
+sigma 0 is the same arithmetic), and each region's mask is cropped to the
+region's own bounding box, on which every pair's flow is reduced. Frame pairs
+are independent, so they are solved on a thread pool with one worker per
+available CPU; numpy and scipy release the interpreter lock in the flow
+solve. Each pair's row is stored by its index, so the series is identical
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -19,14 +24,21 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySequence, UnknownRegion
 # lucas_kanade is not called here but stays importable by this module's name:
 # perfbench/tracing.py wraps both flow entry points where intensity looks them up.
-from .flow import FlowField, FlowParams, flow_support, lucas_kanade, pyramidal_lk  # noqa: F401
+from .flow import (  # noqa: F401
+    FlowField,
+    FlowParams,
+    flow_support,
+    gaussian_smooth,
+    lucas_kanade,
+    pyramidal_lk,
+)
 from .imageio import FrameSequence, Image
 from .regions import GridSpec, RegionMap, region_mask
 
@@ -104,10 +116,11 @@ def region_mean_magnitude(
     if normalize and diag <= 0:
         raise ValueError("normalize requires a positive diag")
     selected = mask & flow.valid
-    count = int(selected.sum())
+    count = np.count_nonzero(selected)
     if count == 0:
         return 0.0, 0
-    mean = float(np.hypot(flow.u[selected], flow.v[selected]).mean())
+    # The sum divided by the count is what ndarray.mean computes.
+    mean = float(np.add.reduce(np.hypot(flow.u[selected], flow.v[selected])) / count)
     if normalize:
         mean /= diag
     return mean, count
@@ -141,14 +154,38 @@ def intensity_series(
     union = np.zeros((seq.height, seq.width), dtype=bool)
     for mask in masks:
         union |= mask
+    # Checks the fit with the real sigma, before anything is smoothed.
     box = flow_support(union, params)
-    masks = [mask[box] for mask in masks]
-    reference = Image(seq[0].pixels[box])
+    # Each region is reduced on its own bounding box inside the flow box.
+    regions = []
+    for mask in masks:
+        mask = mask[box]
+        inner = _bounding_box(mask)
+        regions.append((inner, mask[inner]))
+
+    # At one level the frames are smoothed here, the reference only once; a
+    # pyramid smooths inside pyramidal_lk, after its warp.
+    one_level = params.pyramid_levels == 1
+    solve_params = replace(params, smooth_sigma=0.0) if one_level else params
+
+    def crop(t: int) -> Image:
+        frame = Image(seq[t].pixels[box])
+        return gaussian_smooth(frame, params.smooth_sigma) if one_level else frame
+
+    reference = crop(0) if mode == "reference" else None
 
     def pair_row(t: int) -> list[tuple[float, int]]:
-        first = reference if mode == "reference" else Image(seq[t - 1].pixels[box])
-        flow = pyramidal_lk(first, Image(seq[t].pixels[box]), params)
-        return [region_mean_magnitude(flow, mask, normalize=normalize, diag=diag) for mask in masks]
+        first = reference if mode == "reference" else crop(t - 1)
+        flow = pyramidal_lk(first, crop(t), solve_params)
+        return [
+            region_mean_magnitude(
+                FlowField(u=flow.u[inner], v=flow.v[inner], valid=flow.valid[inner]),
+                mask,
+                normalize=normalize,
+                diag=diag,
+            )
+            for inner, mask in regions
+        ]
 
     n = len(seq)
     values = np.zeros((n - 1, len(names)), dtype=np.float64)
@@ -167,6 +204,14 @@ def intensity_series(
         mode=mode,
         counts=counts,
     )
+
+
+def _bounding_box(mask: np.ndarray) -> tuple[slice, slice]:
+    """Rows and columns of mask's true pixels; empty slices for an empty mask."""
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return slice(0, 0), slice(0, 0)
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
 def _available_cpus() -> int:

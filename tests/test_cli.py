@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,24 @@ class TestSeries:
         assert code == EXIT_CONFIG_ERROR
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "series.csv").exists()
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
+    def test_tiny_sigma_gives_the_sigma_zero_series(self, tmp_path, sigma):
+        # 2 sigma^2 underflows below about 1e-162; the Gaussian is then a delta.
+        frames = tmp_path / "frames"
+        assert main(["synth", "--out", str(frames), "--width", "64", "--height", "48",
+                     "--count", "4", "--dx", "0.4", "--seed", "2"]) == EXIT_OK
+        outputs = {}
+        for value in ("0", sigma):
+            out = tmp_path / value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, err = _run_main(["series", "--frames", str(frames), "--sigma", value,
+                                       "--out", str(out)])
+            assert (code, err) == (EXIT_OK, "")
+            outputs[value] = (out / "series.csv").read_text()
+        assert outputs[sigma] == outputs["0"]
+        assert parse_series_csv(outputs["0"]).values.all()
 
     def test_error_in_a_worker_is_data_error(self, mouth_run, tmp_path, capsys, monkeypatch):
         solve = faceflow.intensity.pyramidal_lk
@@ -523,6 +542,75 @@ class TestSeriesFuzz:
         assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_CONFIG_ERROR)
         assert "Traceback" not in err.getvalue()
         assert (code == EXIT_OK) == (err.getvalue() == "") == (out / "series.csv").exists()
+
+
+_BYTE_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(1, 255)),
+    st.tuples(st.just("insert"),
+              st.one_of(st.binary(min_size=1, max_size=6),
+                        st.sampled_from([b" ", b"\n", b"\r\n", b",", b"#", b"-", b"0", b"nan",
+                                         b"inf", b"1e999", b"\xff"]))),
+    st.tuples(st.just("truncate"), st.none()),
+)
+
+
+@st.composite
+def _mutations(draw):
+    """A few (kind, position, argument) edits, positions mostly near the header."""
+    edits = draw(st.lists(_BYTE_MUTATION, min_size=1, max_size=4))
+    return [(kind, draw(_mostly(st.integers(0, 24), st.integers(0, 10**5))), arg)
+            for kind, arg in edits]
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for kind, pos, arg in edits:
+        pos %= len(data) + 1
+        if kind == "flip" and pos < len(data):
+            data = data[:pos] + bytes([data[pos] ^ arg]) + data[pos + 1:]
+        elif kind == "insert":
+            data = data[:pos] + arg + data[pos:]
+        elif kind == "truncate":
+            data = data[:pos]
+    return data
+
+
+def _run_main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestMutatedBytesFuzz:
+    @given(frame=st.integers(0, 3), edits=_mutations())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_series_on_a_mutated_frame(self, tiny_run, frame, edits):
+        frames = sorted((tiny_run / "frames").glob("*.pgm"))
+        mutated = tiny_run / "mutated_frames"
+        mutated.mkdir(exist_ok=True)
+        for i, path in enumerate(frames):
+            data = path.read_bytes()
+            (mutated / path.name).write_bytes(_mutate(data, edits) if i == frame else data)
+        out = tiny_run / "mutated_out"
+        (out / "series.csv").unlink(missing_ok=True)
+        code, err = _run_main(["series", "--frames", str(mutated), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_CONFIG_ERROR)
+        assert "Traceback" not in err
+        assert (code == EXIT_OK) == (err == "") == (out / "series.csv").exists()
+
+    @given(edits=_mutations())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_analyze_and_plot_on_a_mutated_csv(self, mouth_run, tmp_path_factory, edits):
+        out = tmp_path_factory.mktemp("mutated_csv")
+        csv = out / "series.csv"
+        csv.write_bytes(_mutate((mouth_run / "series.csv").read_bytes(), edits))
+        for command, written in (("analyze", "report.json"), ("plot", "plot.svg")):
+            code, err = _run_main([command, "--series", str(csv), "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_CONFIG_ERROR), command
+            assert "Traceback" not in err
+            assert (code == EXIT_OK) == (err == "") == (out / written).exists(), command
 
 
 def _empty_region_map(tmp_path):

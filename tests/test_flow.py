@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,26 @@ class TestGaussianSmooth:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             gaussian_smooth(Image(np.zeros((3, 3))), -1.0)
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-200, 1e-163, 1e-160, 1e-155, 1e-3])
+    def test_tiny_sigma_is_an_exact_delta(self, sigma):
+        # 2 sigma^2 underflows below about 1e-162; the weights stay a delta.
+        img = make_texture(20, 16, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = gaussian_smooth(img, sigma)
+        assert np.array_equal(out.pixels, img.pixels)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.5])
+    def test_ordinary_sigma_weights_unchanged(self, sigma):
+        radius = math.ceil(3 * sigma)
+        offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+        kernel = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+        kernel /= kernel.sum()
+        pixels = np.zeros((2 * radius + 1, 2 * radius + 1))
+        pixels[radius, radius] = 1.0
+        out = gaussian_smooth(Image(pixels), sigma)
+        assert np.array_equal(out.pixels[radius], kernel * kernel[radius])
 
 
 class TestGradients:
@@ -317,6 +338,18 @@ class TestPyramidalLk:
         img = Image(np.zeros((16, 16)))
         with pytest.raises(PyramidTooDeep):
             pyramidal_lk(img, img, FlowParams(pyramid_levels=10**12))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 1.0, 2.5])
+    def test_presmoothed_frames_solve_identically(self, sigma):
+        # Smoothing is the first per-frame step of a single-level solve.
+        i1, i2 = shifted_pair(64, 48, 0.6, -0.4, 4)
+        direct = pyramidal_lk(i1, i2, FlowParams(smooth_sigma=sigma))
+        pre = pyramidal_lk(gaussian_smooth(i1, sigma), gaussian_smooth(i2, sigma),
+                           FlowParams(smooth_sigma=0.0))
+        assert np.array_equal(direct.u, pre.u)
+        assert np.array_equal(direct.v, pre.v)
+        assert np.array_equal(direct.valid, pre.valid)
+        assert direct.valid.any()
 
     def test_lucas_kanade_ignores_levels(self):
         i1, i2 = shifted_pair(48, 48, 0.5, 0.0, 2)

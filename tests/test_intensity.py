@@ -32,7 +32,8 @@ from faceflow import (
     RegionMotion,
     UnknownRegion,
 )
-from faceflow.flow import FlowField, pyramidal_lk
+from faceflow.flow import FlowField, flow_support, pyramidal_lk
+from faceflow.regions import RegionMap
 
 
 def uniform_field(height, width, u, v, valid=True):
@@ -337,3 +338,77 @@ class TestFlowBox:
         rmap = parse_region_map("region top = r0c1\n", rows=72, cols=4)
         with pytest.raises(PyramidTooDeep, match="image is 96x72"):
             intensity_series(seq, grid, rmap, FlowParams(window_radius=40))
+
+
+CELLS24 = "".join(f"region c{r}{c} = r{r}c{c}\n" for r in range(6) for c in range(4))
+
+
+def whole_box_series(seq, grid, rmap, params, mode):
+    """Raw crops to the flow box, pyramidal_lk with params, ndarray.mean over box-sized masks."""
+    masks = [region_mask(grid, rmap, name) for name in rmap.names()]
+    box = flow_support(np.logical_or.reduce(masks), params)
+    diag = np.hypot(seq.width, seq.height)
+    values = np.zeros((len(seq) - 1, len(masks)))
+    counts = np.zeros((len(seq) - 1, len(masks)), dtype=np.int64)
+    for t in range(1, len(seq)):
+        first = seq[0] if mode == "reference" else seq[t - 1]
+        flow = pyramidal_lk(Image(first.pixels[box]), Image(seq[t].pixels[box]), params)
+        for j, mask in enumerate(masks):
+            sel = mask[box] & flow.valid
+            counts[t - 1, j] = sel.sum()
+            if counts[t - 1, j]:
+                values[t - 1, j] = np.hypot(flow.u[sel], flow.v[sel]).mean() / diag
+    return values, counts
+
+
+class TestRunWideWork:
+    @pytest.mark.parametrize("layout", ["default", "cells24"])
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("mode", ["reference", "consecutive"])
+    def test_matches_whole_box_solve_exactly(self, mode, levels, sigma, layout):
+        grid = make_grid(96, 72)
+        rmap = default_region_map() if layout == "default" else parse_region_map(CELLS24)
+        motions = (RegionMotion(rmap.names()[-1], amplitude=1.5, onset=1, apex=2, offset=3),)
+        seq, _ = synth_expression(96, 72, grid, rmap, motions, 4, seed=3)
+        params = FlowParams(window_radius=3, smooth_sigma=sigma, pyramid_levels=levels)
+        series = intensity_series(seq, grid, rmap, params, mode=mode)
+        values, counts = whole_box_series(seq, grid, rmap, params, mode)
+        assert np.array_equal(series.counts, counts)
+        assert np.array_equal(series.values, values)
+        assert values.any()
+
+    @pytest.mark.parametrize(
+        "mode, levels, smooths",
+        [("reference", 1, 5), ("consecutive", 1, 8), ("reference", 2, 0), ("consecutive", 2, 0)],
+    )
+    def test_calls_per_run_and_per_pair(self, monkeypatch, mode, levels, smooths):
+        # Pool workers append; list.append is atomic where += on a count is not.
+        calls = {"gaussian_smooth": [], "pyramidal_lk": [], "region_mean_magnitude": []}
+
+        def record(name):
+            fn = getattr(faceflow.intensity, name)
+
+            def recorder(*args, **kwargs):
+                calls[name].append(None)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(faceflow.intensity, name, recorder)
+
+        for name in calls:
+            record(name)
+        seq, _ = translate_sequence(make_texture(64, 64, seed=2), 0.3, 0.1, 5)
+        intensity_series(seq, make_grid(64, 64), default_region_map(),
+                         FlowParams(pyramid_levels=levels), mode=mode)
+        # 5 frames, 4 pairs, 3 regions.
+        counts = {name: len(made) for name, made in calls.items()}
+        assert counts == {"gaussian_smooth": smooths, "pyramidal_lk": 4, "region_mean_magnitude": 12}
+
+    @pytest.mark.parametrize("mode", ["reference", "consecutive"])
+    def test_empty_region_gives_zeros(self, mode):
+        seq, _ = translate_sequence(make_texture(64, 64, seed=5), 0.4, 0.0, 4)
+        rmap = RegionMap({"a": frozenset({(2, 1)}), "empty": frozenset()})
+        series = intensity_series(seq, make_grid(64, 64), rmap, mode=mode)
+        assert np.array_equal(series.column("empty"), np.zeros(3))
+        assert np.array_equal(series.counts[:, 1], np.zeros(3, dtype=np.int64))
+        assert series.column("a").all()
