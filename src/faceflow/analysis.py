@@ -42,10 +42,16 @@ class AnalysisParams:
     smooth_window: int = 5
 
     def __post_init__(self) -> None:
-        _check_theta(self.theta)
-        _check_run_length(self.run_length)
-        _check_rho(self.rho)
-        _check_window(self.smooth_window)
+        if not 0 < self.theta < 1:
+            raise InvalidThreshold(f"theta must be in (0, 1), got {self.theta}")
+        if self.run_length < 1:
+            raise InvalidThreshold(f"run_length must be >= 1, got {self.run_length}")
+        if not 0 < self.rho <= 1:
+            raise InvalidThreshold(f"rho must be in (0, 1], got {self.rho}")
+        if self.smooth_window < 1 or self.smooth_window % 2 == 0:
+            raise EvenWindow(
+                f"smoothing window must be odd and >= 1, got {self.smooth_window}"
+            )
 
 
 @dataclass(frozen=True)
@@ -71,29 +77,9 @@ class ExpressionReport:
     params: AnalysisParams
 
 
-def _check_theta(theta: float) -> None:
-    if not 0 < theta < 1:
-        raise InvalidThreshold(f"theta must be in (0, 1), got {theta}")
-
-
-def _check_run_length(run_length: int) -> None:
-    if run_length < 1:
-        raise InvalidThreshold(f"run_length must be >= 1, got {run_length}")
-
-
-def _check_rho(rho: float) -> None:
-    if not 0 < rho <= 1:
-        raise InvalidThreshold(f"rho must be in (0, 1], got {rho}")
-
-
-def _check_window(window: int) -> None:
-    if window < 1 or window % 2 == 0:
-        raise EvenWindow(f"smoothing window must be odd and >= 1, got {window}")
-
-
 def smooth_series(values, window: int) -> np.ndarray:
     """Centered moving average with the window clipped at the sequence ends."""
-    _check_window(window)
+    AnalysisParams(smooth_window=window)  # validates the window
     data = np.asarray(values, dtype=np.float64)
     if data.ndim != 1:
         raise ValueError("smooth_series expects a 1-D sequence")
@@ -127,8 +113,7 @@ def detect_events(
     [apex, end]. A zero-peak series has no events. Indices are positions in
     `values`; callers tracking frame numbers relabel them.
     """
-    _check_theta(theta)
-    _check_run_length(run_length)
+    AnalysisParams(theta=theta, run_length=run_length)  # validates; smooth_series the window
     smoothed = smooth_series(values, smooth_window)
     if smoothed.size == 0:
         raise EmptySeries("cannot detect events on an empty series")
@@ -163,13 +148,7 @@ def _relabel(index: int | None, frames: np.ndarray) -> int | None:
     return None if index is None else int(frames[index])
 
 
-def rank_regions(
-    series: IntensitySeries,
-    rho: float = 0.2,
-    theta: float = 0.1,
-    run_length: int = 3,
-    smooth_window: int = 5,
-) -> ExpressionReport:
+def build_report(series: IntensitySeries, params: AnalysisParams = AnalysisParams()) -> ExpressionReport:
     """Detect per-region events and rank regions by smoothed peak value.
 
     The dominant region has the highest peak (ties broken by the canonical
@@ -179,16 +158,15 @@ def rank_regions(
     """
     if not series.regions or series.values.size == 0:
         raise EmptySeries("series has no regions or no rows")
-    _check_rho(rho)
 
     per_region: dict[str, RegionEvents] = {}
     peaks: dict[str, float] = {}
     for name in series.regions:
         events = detect_events(
             series.column(name),
-            theta=theta,
-            run_length=run_length,
-            smooth_window=smooth_window,
+            theta=params.theta,
+            run_length=params.run_length,
+            smooth_window=params.smooth_window,
         )
         per_region[name] = RegionEvents(
             onset=_relabel(events.onset, series.frames),
@@ -209,25 +187,26 @@ def rank_regions(
     else:
         dominant = top
         deformed = tuple(
-            name for name in order if peaks[name] > 0 and peaks[name] >= rho * peaks[top]
+            name for name in order if peaks[name] > 0 and peaks[name] >= params.rho * peaks[top]
         )
 
     return ExpressionReport(
         per_region=per_region,
         dominant_region=dominant,
         deformed_regions=deformed,
-        params=AnalysisParams(
-            theta=theta, run_length=run_length, rho=rho, smooth_window=smooth_window
-        ),
+        params=params,
     )
 
 
-def build_report(series: IntensitySeries, params: AnalysisParams = AnalysisParams()) -> ExpressionReport:
-    """rank_regions with parameters bundled in an AnalysisParams."""
-    return rank_regions(
+def rank_regions(
+    series: IntensitySeries,
+    rho: float = 0.2,
+    theta: float = 0.1,
+    run_length: int = 3,
+    smooth_window: int = 5,
+) -> ExpressionReport:
+    """build_report with the parameters given as keywords."""
+    return build_report(
         series,
-        rho=params.rho,
-        theta=params.theta,
-        run_length=params.run_length,
-        smooth_window=params.smooth_window,
+        AnalysisParams(theta=theta, run_length=run_length, rho=rho, smooth_window=smooth_window),
     )

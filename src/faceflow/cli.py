@@ -14,11 +14,10 @@ error, 3 configuration error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -151,11 +150,16 @@ def _add_opts(parser: argparse.ArgumentParser, opts: tuple[_Opt, ...]) -> None:
                                 help=opt.help)
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _read_text(path: str, what: str) -> str:
+    """Text of a config or region file; an unreadable or undecodable one is a usage error."""
     try:
-        text = Path(path).read_text("utf-8")
-    except OSError as exc:
-        raise _UsageError(f"config file {path}: {exc}") from exc
+        return Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"{what} {path}: {exc}") from exc
+
+
+def _read_config(path: str) -> dict[str, str]:
+    text = _read_text(path, "config file")
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -196,25 +200,13 @@ def _merge_options(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
 
 def _load_region_map(cfg: dict) -> RegionMap:
     if cfg["regions"] is not None:
-        try:
-            text = Path(cfg["regions"]).read_text("utf-8")
-        except OSError as exc:
-            raise _UsageError(f"region map {cfg['regions']}: {exc}") from exc
+        text = _read_text(cfg["regions"], "region map")
     else:
         text = default_region_text()
     region_map = parse_region_map(text, rows=cfg["rows"], cols=cfg["cols"])
     if not region_map.names():
         raise ParseError(f"region map {cfg['regions']} defines no regions")
     return region_map
-
-
-def _flow_params(cfg: dict) -> FlowParams:
-    return FlowParams(
-        window_radius=cfg["window_radius"],
-        smooth_sigma=cfg["sigma"],
-        eigen_threshold=cfg["eigen_threshold"],
-        pyramid_levels=cfg["pyramid_levels"],
-    )
 
 
 def _compute_series(cfg: dict) -> IntensitySeries:
@@ -225,7 +217,12 @@ def _compute_series(cfg: dict) -> IntensitySeries:
         seq,
         grid,
         region_map,
-        _flow_params(cfg),
+        FlowParams(
+            window_radius=cfg["window_radius"],
+            smooth_sigma=cfg["sigma"],
+            eigen_threshold=cfg["eigen_threshold"],
+            pyramid_levels=cfg["pyramid_levels"],
+        ),
         mode=cfg["mode"],
         normalize=cfg["units"] == "normalized",
     )
@@ -248,6 +245,8 @@ def parse_series_csv(text: str) -> IntensitySeries:
     header = lines[0].split(",")
     if header[0] != "frame" or len(header) < 2 or any(not name.strip() for name in header[1:]):
         raise SeriesFormatError("line 1: expected header 'frame,<region>,...'")
+    if not all(name.isprintable() for name in header[1:]):
+        raise SeriesFormatError("line 1: region names must be printable text")
     regions = tuple(name.strip() for name in header[1:])
     duplicates = sorted({name for name in regions if regions.count(name) > 1})
     if duplicates:
@@ -291,26 +290,10 @@ def parse_series_csv(text: str) -> IntensitySeries:
     )
 
 
-def _quantize_series(series: IntensitySeries) -> IntensitySeries:
-    # Round to the CSV's 9 significant digits so analyzing in-process and
-    # analyzing a written series.csv yield byte-identical reports.
-    quantized = np.array(
-        [[float(f"{value:.8e}") for value in row] for row in series.values],
-        dtype=np.float64,
-    ).reshape(series.values.shape)
-    return dataclasses.replace(series, values=quantized)
-
-
 def report_to_dict(report: ExpressionReport) -> dict:
     """JSON-ready dict with stable key order and 9-significant-digit peaks."""
-    params = report.params
     return {
-        "parameters": {
-            "theta": params.theta,
-            "run_length": params.run_length,
-            "rho": params.rho,
-            "smooth_window": params.smooth_window,
-        },
+        "parameters": asdict(report.params),
         "regions": {
             name: {
                 "onset": events.onset,
@@ -330,6 +313,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#
 
 def render_series_svg(series: IntensitySeries) -> str:
     """Deterministic SVG line chart: one polyline per region, legend, axes."""
+    from html import escape  # here: its entity table would cost every other command memory
+
     width, height = 640.0, 400.0
     left, right, top, bottom = 60.0, 170.0, 20.0, 50.0
     plot_w = width - left - right
@@ -399,7 +384,7 @@ def render_series_svg(series: IntensitySeries) -> str:
         )
         parts.append(
             f'<text x="{lx + 24:.2f}" y="{ly + 4:.2f}" font-family="monospace" '
-            f'font-size="12">{name}</text>'
+            f'font-size="12">{escape(name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -424,7 +409,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if cfg["series"] is not None:
         series = parse_series_csv(Path(cfg["series"]).read_text("utf-8"))
     elif cfg["frames"] is not None:
-        series = _quantize_series(_compute_series(cfg))
+        # Through the CSV's text, so analyzing in-process and analyzing a
+        # written series.csv yield byte-identical reports.
+        series = parse_series_csv(format_series_csv(_compute_series(cfg)))
     else:
         raise _UsageError("analyze needs --series or --frames")
     params = AnalysisParams(
@@ -470,6 +457,8 @@ def _parse_motion(text: str) -> RegionMotion:
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _merge_options(args, _SYNTH_OPTS)
     n = cfg["count"]
+    if cfg["active"] and (cfg["dx"] or cfg["dy"]):
+        raise _UsageError("--dx and --dy shift translation mode; they cannot be used with --active")
     if cfg["active"]:
         grid = make_grid(cfg["width"], cfg["height"], cfg["rows"], cfg["cols"])
         region_map = _load_region_map(cfg)
@@ -503,22 +492,15 @@ def _build_parser() -> _Parser:
         description="Facial-region motion intensity from dense Lucas-Kanade optical flow.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    sub = subparsers.add_parser("series", help="compute per-region intensity series")
-    _add_opts(sub, _SERIES_OPTS)
-    sub.set_defaults(handler=_cmd_series)
-
-    sub = subparsers.add_parser("analyze", help="write an expression report as JSON")
-    _add_opts(sub, _ANALYZE_OPTS)
-    sub.set_defaults(handler=_cmd_analyze)
-
-    sub = subparsers.add_parser("plot", help="draw an SVG chart from series.csv")
-    _add_opts(sub, _PLOT_OPTS)
-    sub.set_defaults(handler=_cmd_plot)
-
-    sub = subparsers.add_parser("synth", help="generate a synthetic frame directory")
-    _add_opts(sub, _SYNTH_OPTS)
-    sub.set_defaults(handler=_cmd_synth)
+    for name, help_text, opts, handler in (
+        ("series", "compute per-region intensity series", _SERIES_OPTS, _cmd_series),
+        ("analyze", "write an expression report as JSON", _ANALYZE_OPTS, _cmd_analyze),
+        ("plot", "draw an SVG chart from series.csv", _PLOT_OPTS, _cmd_plot),
+        ("synth", "generate a synthetic frame directory", _SYNTH_OPTS, _cmd_synth),
+    ):
+        sub = subparsers.add_parser(name, help=help_text)
+        _add_opts(sub, opts)
+        sub.set_defaults(handler=handler)
     return parser
 
 

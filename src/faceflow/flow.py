@@ -16,7 +16,8 @@ displacement range beyond the ~1 px linearization limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "gaussian_smooth",
     "spatiotemporal_gradients",
     "lucas_kanade",
-    "flow_support",
     "pyramidal_lk",
     "sample_bilinear",
 ]
@@ -59,25 +59,12 @@ class FlowParams:
             raise ValueError(f"pyramid_levels must be >= 1, got {self.pyramid_levels}")
 
 
-@dataclass(frozen=True, eq=False)
-class GradientField:
+class GradientField(NamedTuple):
     """Spatiotemporal derivatives of a frame pair, one raster per axis."""
 
     ix: np.ndarray
     iy: np.ndarray
     it: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (self.ix.shape == self.iy.shape == self.it.shape):
-            raise DimensionMismatch("gradient rasters must share one shape")
-
-    @property
-    def width(self) -> int:
-        return self.ix.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.ix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,13 +234,10 @@ def _solve_lk(a1: np.ndarray, a2: np.ndarray, p: FlowParams) -> tuple[np.ndarray
 def lucas_kanade(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowField:
     """Dense single-level flow from i1 to i2: I2(x + u, y + v) ~ I1(x, y).
 
-    Both frames are pre-smoothed with p.smooth_sigma; p.pyramid_levels is
-    ignored here (see pyramidal_lk).
+    pyramidal_lk at one level: both frames are pre-smoothed with
+    p.smooth_sigma, and p.pyramid_levels is ignored.
     """
-    _require_same_shape(i1, i2)
-    _check_fits(i1.width, i1.height, p, 1)
-    u, v, valid = _solve_lk(i1.pixels, i2.pixels, p)
-    return FlowField(u=u, v=v, valid=valid)
+    return pyramidal_lk(i1, i2, replace(p, pyramid_levels=1))
 
 
 def sample_bilinear(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -375,8 +359,8 @@ def pyramidal_lk(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowFiel
     """Coarse-to-fine flow for displacements beyond the ~1 px single-level range.
 
     Each level solves for the residual motion left after warping i2 by the
-    upsampled coarser flow. With pyramid_levels = 1 the output is bit-identical
-    to lucas_kanade.
+    upsampled coarser flow. With pyramid_levels = 1 it is the single-level
+    solve, which lucas_kanade also runs.
     """
     _require_same_shape(i1, i2)
     _check_fits(i1.width, i1.height, p, p.pyramid_levels)

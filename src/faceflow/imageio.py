@@ -210,10 +210,13 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
     resolution.
     """
     root = Path(directory)
-    paths = sorted(
-        (p for p in root.glob(pattern) if p.is_file()),
-        key=lambda p: _natural_key(p.name),
-    )
+    try:
+        paths = sorted(
+            (p for p in root.glob(pattern) if p.is_file()),
+            key=lambda p: _natural_key(p.name),
+        )
+    except NotImplementedError as exc:  # pathlib's answer to an absolute pattern
+        raise ValueError(f"frame pattern {pattern!r} must be relative to {root}") from exc
     if not paths:
         raise EmptySequence(f"no files match {pattern!r} in {root}")
 

@@ -133,10 +133,9 @@ def parse_region_map(text: str, rows: int = 6, cols: int = 4) -> RegionMap:
     """Parse `region <name> = r<row>c<col>, ...` lines into a RegionMap.
 
     '#' starts a comment; blank lines are ignored. Cells are validated against
-    a rows x cols grid and must not be claimed by two regions.
+    a rows x cols grid; RegionMap rejects a cell claimed by two regions.
     """
     regions: dict[str, frozenset[tuple[int, int]]] = {}
-    claimed: dict[tuple[int, int], str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -158,12 +157,6 @@ def parse_region_map(text: str, rows: int = 6, cols: int = 4) -> RegionMap:
                 raise CellOutOfGrid(
                     f"line {lineno}: cell r{row}c{col} outside {rows}x{cols} grid"
                 )
-            if (row, col) in claimed and claimed[(row, col)] != name:
-                raise OverlappingCells(
-                    f"line {lineno}: cell r{row}c{col} already belongs to "
-                    f"{claimed[(row, col)]!r}"
-                )
-            claimed[(row, col)] = name
             cells.add((row, col))
         regions[name] = frozenset(cells)
     return RegionMap(regions)

@@ -11,6 +11,7 @@ import sys
 import textwrap
 import threading
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import faceflow.cli
 import faceflow.errors
 import faceflow.intensity
-from faceflow import ConfigError, DataError, DimensionMismatch, IntensitySeries, build_report
+from faceflow import (
+    ConfigError,
+    DataError,
+    DimensionMismatch,
+    IntensitySeries,
+    SeriesFormatError,
+    build_report,
+)
 from faceflow.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
@@ -97,6 +105,15 @@ class TestSynth:
         assert code == EXIT_CONFIG_ERROR
         assert "--active" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--dx", "--dy"])
+    def test_shift_with_active_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "frames"
+        code = main(["synth", "--out", str(out), "--count", "5", "--active", "mouth:1:1:2:3",
+                     flag, "0.5"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "--active" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSeries:
     def test_row_and_column_contract(self, tmp_path):
@@ -123,12 +140,17 @@ class TestSeries:
             mouth_run / "series.csv"
         ).read_bytes()
 
-    def test_missing_region_map_names_path(self, mouth_run, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [None, b"region mouth = r5c1\n\xff\n"],
+                             ids=["missing", "undecodable"])
+    def test_missing_region_map_names_path(self, mouth_run, tmp_path, capsys, content):
+        layout = tmp_path / "nope.regions"
+        if content is not None:
+            layout.write_bytes(content)
         code = main(
             [
                 "series",
                 "--frames", str(mouth_run / "frames"),
-                "--regions", str(tmp_path / "nope.regions"),
+                "--regions", str(layout),
                 "--out", str(tmp_path),
             ]
         )
@@ -151,6 +173,14 @@ class TestSeries:
         assert code == EXIT_OK
         header = (tmp_path / "series.csv").read_text().splitlines()[0]
         assert header == "frame,top,bottom"
+
+    @pytest.mark.parametrize("pattern", ["", "/abs/*.pgm"])
+    def test_unusable_pattern_is_config_error(self, mouth_run, tmp_path, capsys, pattern):
+        code = main(["series", "--frames", str(mouth_run / "frames"), f"--pattern={pattern}",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG_ERROR
+        assert repr(pattern) in capsys.readouterr().err
+        assert not (tmp_path / "series.csv").exists()
 
     def test_missing_frames_dir_is_data_error(self, tmp_path, capsys):
         code = main(["series", "--frames", str(tmp_path / "void"), "--out", str(tmp_path)])
@@ -411,11 +441,17 @@ class TestConfigFile:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert "line 1" in capsys.readouterr().err
 
-    def test_missing_config_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [None, b"count = 7\n\xff\n"],
+                             ids=["missing", "undecodable"])
+    def test_missing_config_file(self, tmp_path, capsys, content):
+        cfg = tmp_path / "nope.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
         assert (
-            main(["synth", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
+            main(["synth", "--config", str(cfg), "--out", str(tmp_path)])
             == EXIT_CONFIG_ERROR
         )
+        assert "nope.cfg" in capsys.readouterr().err
 
     def test_repeatable_option_semicolon_separated(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -472,6 +508,16 @@ class TestSeriesCsvHelpers:
         svg = render_series_svg(series)
         assert svg.count("<polyline") == 1
 
+    def test_svg_escapes_region_names(self):
+        series = parse_series_csv("frame,a<b&c,mouth\n1,0.5,0.25\n")
+        legend = [el.text for el in ET.fromstring(render_series_svg(series)).iter()
+                  if el.tag.endswith("text")][-2:]
+        assert legend == ["a<b&c", "mouth"]
+
+    def test_unprintable_region_name_rejected(self):
+        with pytest.raises(SeriesFormatError, match="line 1"):
+            parse_series_csv("frame,mo\x01uth\n1,0.5\n")
+
 
 class TestTopLevel:
     def test_no_arguments(self, capsys):
@@ -522,11 +568,13 @@ class TestSeriesFuzz:
                       st.sampled_from(["nan", "inf", "-inf", "1e308", "11", "-1", "-0.0"])),
         levels=_mostly(st.integers(1, 2), st.sampled_from([-1, 0, 3, 4, 10**12])),
         mode=_mostly(st.sampled_from(["reference", "consecutive"]), st.just("sideways")),
+        pattern=st.one_of(st.just("*.pgm"),
+                          st.sampled_from(["", "/abs/*.pgm", "**", "*", "frame_000[12].pgm"])),
     )
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_exits_with_a_known_code_and_no_traceback(self, tiny_run, grid, radius, sigma,
-                                                      levels, mode):
+                                                      levels, mode, pattern):
         rows, cols, text = grid
         layout = tiny_run / "fuzz.regions"
         layout.write_text(text)
@@ -538,7 +586,7 @@ class TestSeriesFuzz:
             code = main(["series", f"--frames={tiny_run / 'frames'}", f"--regions={layout}",
                          f"--rows={rows}", f"--cols={cols}", f"--window-radius={radius}",
                          f"--sigma={sigma}", f"--pyramid-levels={levels}", f"--mode={mode}",
-                         f"--out={out}"])
+                         f"--pattern={pattern}", f"--out={out}"])
         assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_CONFIG_ERROR)
         assert "Traceback" not in err.getvalue()
         assert (code == EXIT_OK) == (err.getvalue() == "") == (out / "series.csv").exists()
@@ -549,7 +597,7 @@ _BYTE_MUTATION = st.one_of(
     st.tuples(st.just("insert"),
               st.one_of(st.binary(min_size=1, max_size=6),
                         st.sampled_from([b" ", b"\n", b"\r\n", b",", b"#", b"-", b"0", b"nan",
-                                         b"inf", b"1e999", b"\xff"]))),
+                                         b"inf", b"1e999", b"\xff", b"<", b"&"]))),
     st.tuples(st.just("truncate"), st.none()),
 )
 
@@ -611,6 +659,8 @@ class TestMutatedBytesFuzz:
             assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_CONFIG_ERROR), command
             assert "Traceback" not in err
             assert (code == EXIT_OK) == (err == "") == (out / written).exists(), command
+            if code == EXIT_OK and written == "plot.svg":
+                ET.parse(out / written)  # well-formed XML whatever the region names
 
 
 def _empty_region_map(tmp_path):
