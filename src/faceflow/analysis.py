@@ -85,8 +85,8 @@ def smooth_series(values, window: int) -> np.ndarray:
         raise ValueError("smooth_series expects a 1-D sequence")
     if window == 1 or data.size == 0:
         return data.copy()
-    half = window // 2
     n = data.size
+    half = min(window // 2, n)  # a window as wide as the series averages all of it
     sums = np.concatenate(([0.0], np.cumsum(data)))
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half + 1, n)

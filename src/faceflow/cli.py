@@ -3,7 +3,7 @@
 Subcommands:
     synth    render a synthetic frame directory plus its ground-truth CSV
     series   compute per-region intensity series from a frame directory
-    analyze  turn a series (from CSV or computed in-process) into report.json
+    analyze  turn a series.csv into report.json
     plot     draw a deterministic SVG line chart from series.csv
 
 Every option can also come from a flat key=value config file (--config);
@@ -44,13 +44,9 @@ EXIT_DATA_ERROR = 2
 EXIT_CONFIG_ERROR = 3
 
 
-class _UsageError(Exception):
-    """Bad flags, bad config values, or missing required options."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit 2; config errors are 3
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
 def _choice_of(*allowed: str) -> Callable[[str], str]:
@@ -111,12 +107,7 @@ _SERIES_OPTS = (
     _OUT_OPT,
 )
 _ANALYZE_OPTS = (
-    _Opt("series", str, None, "existing series.csv to analyze (wins over --frames)"),
-    _Opt("frames", str, None, "directory of frames to compute the series from"),
-    _Opt("pattern", str, "*.pgm", "frame filename glob (default *.pgm)"),
-    *_GRID_OPTS,
-    *_FLOW_OPTS,
-    *_SERIES_MODE_OPTS,
+    _Opt("series", str, None, "series.csv to analyze", required=True),
     *_ANALYSIS_OPTS,
     _OUT_OPT,
 )
@@ -155,7 +146,7 @@ def _read_text(path: str, what: str) -> str:
     try:
         return Path(path).read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"{what} {path}: {exc}") from exc
+        raise ConfigError(f"{what} {path}: {exc}") from exc
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -166,7 +157,7 @@ def _read_config(path: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise _UsageError(f"config file {path} line {lineno}: expected key=value")
+            raise ConfigError(f"config file {path} line {lineno}: expected key=value")
         key, value = line.split("=", 1)
         entries[key.strip()] = value.strip()
     return entries
@@ -180,21 +171,21 @@ def _merge_options(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
         for key, text in _read_config(args.config).items():
             opt = by_flag.get(key.replace("_", "-"))
             if opt is None:
-                raise _UsageError(f"unknown config key {key!r}")
+                raise ConfigError(f"unknown config key {key!r}")
             try:
                 if opt.repeat:
                     values[opt.dest] = [opt.convert(part.strip()) for part in text.split(";")]
                 else:
                     values[opt.dest] = opt.convert(text)
             except ValueError as exc:
-                raise _UsageError(f"config key {key!r}: {exc}") from exc
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
     for opt in opts:
         given = getattr(args, opt.dest)
         if given is not None:
             values[opt.dest] = given
     for opt in opts:
         if opt.required and values[opt.dest] is None:
-            raise _UsageError(f"missing required option --{opt.flag}")
+            raise ConfigError(f"missing required option --{opt.flag}")
     return values
 
 
@@ -207,25 +198,6 @@ def _load_region_map(cfg: dict) -> RegionMap:
     if not region_map.names():
         raise ParseError(f"region map {cfg['regions']} defines no regions")
     return region_map
-
-
-def _compute_series(cfg: dict) -> IntensitySeries:
-    region_map = _load_region_map(cfg)
-    seq = load_sequence(cfg["frames"], cfg["pattern"])
-    grid = make_grid(seq.width, seq.height, cfg["rows"], cfg["cols"])
-    return intensity_series(
-        seq,
-        grid,
-        region_map,
-        FlowParams(
-            window_radius=cfg["window_radius"],
-            smooth_sigma=cfg["sigma"],
-            eigen_threshold=cfg["eigen_threshold"],
-            pyramid_levels=cfg["pyramid_levels"],
-        ),
-        mode=cfg["mode"],
-        normalize=cfg["units"] == "normalized",
-    )
 
 
 def format_series_csv(series: IntensitySeries) -> str:
@@ -266,6 +238,8 @@ def parse_series_csv(text: str) -> IntensitySeries:
             frame = int(parts[0])
         except ValueError:
             raise SeriesFormatError(f"line {lineno}: bad frame index {parts[0]!r}") from None
+        if not -(2**63) <= frame < 2**63:
+            raise SeriesFormatError(f"line {lineno}: frame {frame} outside the 64-bit range")
         if frames and frame <= frames[-1]:
             raise SeriesFormatError(
                 f"line {lineno}: frame {frame} does not follow frame {frames[-1]}; "
@@ -397,7 +371,22 @@ def _write_text(path: Path, content: str) -> None:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     cfg = _merge_options(args, _SERIES_OPTS)
-    series = _compute_series(cfg)
+    region_map = _load_region_map(cfg)
+    seq = load_sequence(cfg["frames"], cfg["pattern"])
+    grid = make_grid(seq.width, seq.height, cfg["rows"], cfg["cols"])
+    series = intensity_series(
+        seq,
+        grid,
+        region_map,
+        FlowParams(
+            window_radius=cfg["window_radius"],
+            smooth_sigma=cfg["sigma"],
+            eigen_threshold=cfg["eigen_threshold"],
+            pyramid_levels=cfg["pyramid_levels"],
+        ),
+        mode=cfg["mode"],
+        normalize=cfg["units"] == "normalized",
+    )
     path = Path(cfg["out"]) / "series.csv"
     _write_text(path, format_series_csv(series))
     print(f"wrote {path}")
@@ -406,14 +395,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _merge_options(args, _ANALYZE_OPTS)
-    if cfg["series"] is not None:
-        series = parse_series_csv(Path(cfg["series"]).read_text("utf-8"))
-    elif cfg["frames"] is not None:
-        # Through the CSV's text, so analyzing in-process and analyzing a
-        # written series.csv yield byte-identical reports.
-        series = parse_series_csv(format_series_csv(_compute_series(cfg)))
-    else:
-        raise _UsageError("analyze needs --series or --frames")
+    series = parse_series_csv(Path(cfg["series"]).read_text("utf-8"))
     params = AnalysisParams(
         theta=cfg["theta"],
         run_length=cfg["run_length"],
@@ -439,7 +421,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 def _parse_motion(text: str) -> RegionMotion:
     parts = text.split(":")
     if len(parts) != 5:
-        raise _UsageError(
+        raise ConfigError(
             f"--active expects name:amplitude:onset:apex:offset, got {text!r}"
         )
     try:
@@ -451,14 +433,14 @@ def _parse_motion(text: str) -> RegionMotion:
             offset=int(parts[4]),
         )
     except ValueError as exc:
-        raise _UsageError(f"--active {text!r}: {exc}") from exc
+        raise ConfigError(f"--active {text!r}: {exc}") from exc
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _merge_options(args, _SYNTH_OPTS)
     n = cfg["count"]
     if cfg["active"] and (cfg["dx"] or cfg["dy"]):
-        raise _UsageError("--dx and --dy shift translation mode; they cannot be used with --active")
+        raise ConfigError("--dx and --dy shift translation mode; they cannot be used with --active")
     if cfg["active"]:
         grid = make_grid(cfg["width"], cfg["height"], cfg["rows"], cfg["cols"])
         region_map = _load_region_map(cfg)
@@ -514,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    except (ConfigError, _UsageError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

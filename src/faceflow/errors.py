@@ -49,7 +49,7 @@ class TruncatedPayload(DataError):
 
 
 class UnsupportedMaxval(DataError):
-    """Header maxval exceeds the 8-bit range this decoder supports."""
+    """Header maxval exceeds the 8-bit range this decoder supports, or a sample exceeds maxval."""
 
 
 class EmptySequence(DataError):

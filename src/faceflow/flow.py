@@ -82,14 +82,6 @@ class FlowField:
         if not (self.u.shape == self.v.shape == self.valid.shape):
             raise DimensionMismatch("flow rasters must share one shape")
 
-    @property
-    def width(self) -> int:
-        return self.u.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.u.shape[0]
-
 
 def _require_same_shape(i1: Image, i2: Image) -> None:
     if i1.pixels.shape != i2.pixels.shape:
@@ -301,13 +293,13 @@ def _upsample_flow(f: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return up
 
 
-def _check_fits(width: int, height: int, p: FlowParams, levels: int) -> None:
+def _check_fits(width: int, height: int, p: FlowParams) -> None:
     """Reject windows, pyramids and smoothing kernels the frame cannot hold.
 
     Runs before anything is allocated, so an oversized parameter fails fast
     instead of allocating a raster sized by the parameter.
     """
-    min_dim = min(width, height)
+    min_dim, levels = min(width, height), p.pyramid_levels
     side = 2 * p.window_radius + 1
     # The shift is bounded first, so a huge level count never builds a huge int.
     if levels - 1 >= min_dim.bit_length() or min_dim < side << (levels - 1):
@@ -324,6 +316,14 @@ def _check_fits(width: int, height: int, p: FlowParams, levels: int) -> None:
         )
 
 
+def bounding_box(mask: np.ndarray) -> tuple[slice, slice]:
+    """Rows and columns of mask's true pixels; empty slices for an empty mask."""
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return slice(0, 0), slice(0, 0)
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
 def flow_support(region: np.ndarray, p: FlowParams) -> tuple[slice, slice]:
     """Frame rows and columns that pyramidal_lk needs for exact flow on a region.
 
@@ -338,21 +338,21 @@ def flow_support(region: np.ndarray, p: FlowParams) -> tuple[slice, slice]:
     Checks first that the frame fits p, so an error names the frame's size.
     """
     height, width = region.shape
-    _check_fits(width, height, p, p.pyramid_levels)
+    _check_fits(width, height, p)
     if p.pyramid_levels > 1 or not region.any():
         return slice(0, height), slice(0, width)
     halo = p.window_radius + 1 + math.ceil(3 * p.smooth_sigma)
     side = 2 * p.window_radius + 1
 
-    def grow(hits: np.ndarray) -> slice:
-        inside, n = np.flatnonzero(hits), hits.size
-        lo, hi = max(int(inside[0]) - halo, 0), min(int(inside[-1]) + 1 + halo, n)
+    def grow(inside: slice, n: int) -> slice:
+        lo, hi = max(inside.start - halo, 0), min(inside.stop + halo, n)
         if hi - lo < side:  # clipped at a frame edge; the frame fits a side
             lo = min(lo, n - side)
             hi = lo + side
         return slice(lo, hi)
 
-    return grow(region.any(axis=1)), grow(region.any(axis=0))
+    rows, cols = bounding_box(region)
+    return grow(rows, height), grow(cols, width)
 
 
 def pyramidal_lk(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowField:
@@ -363,7 +363,7 @@ def pyramidal_lk(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowFiel
     solve, which lucas_kanade also runs.
     """
     _require_same_shape(i1, i2)
-    _check_fits(i1.width, i1.height, p, p.pyramid_levels)
+    _check_fits(i1.width, i1.height, p)
 
     levels = [(i1.pixels, i2.pixels)]
     for _ in range(p.pyramid_levels - 1):

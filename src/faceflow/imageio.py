@@ -68,14 +68,6 @@ class RgbImage:
             raise ValueError("RgbImage.pixels must be a non-empty (h, w, 3) array")
         object.__setattr__(self, "pixels", pixels)
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class FrameSequence:
@@ -152,24 +144,28 @@ def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, byte
     return width, height, maxval, data[i + 1 :]
 
 
+def _decode_samples(data: bytes, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
+    """Raw samples, shape (height, width, channels), and the header's maxval."""
+    width, height, maxval, payload = _parse_netpbm_header(data, magic)
+    need = channels * width * height
+    if len(payload) < need:
+        raise TruncatedPayload(f"expected {need} sample bytes, got {len(payload)}")
+    raw = np.frombuffer(payload[:need], dtype=np.uint8).reshape(height, width, channels)
+    # A sample above maxval would decode to an intensity above 1; 8-bit samples cannot be.
+    if maxval < 255 and raw.max() > maxval:
+        raise UnsupportedMaxval(f"sample {raw.max()} exceeds maxval {maxval}")
+    return raw, maxval
+
+
 def decode_pgm(data: bytes) -> Image:
     """Decode a binary PGM (P5) buffer into a normalized grayscale image."""
-    width, height, maxval, payload = _parse_netpbm_header(data, b"P5")
-    need = width * height
-    if len(payload) < need:
-        raise TruncatedPayload(f"expected {need} pixel bytes, got {len(payload)}")
-    raw = np.frombuffer(payload[:need], dtype=np.uint8).reshape(height, width)
-    return Image(raw.astype(np.float64) / maxval)
+    raw, maxval = _decode_samples(data, b"P5", 1)
+    return Image(raw[:, :, 0].astype(np.float64) / maxval)
 
 
 def decode_ppm(data: bytes) -> RgbImage:
     """Decode a binary PPM (P6) buffer, preserving the interleaved RGB bytes."""
-    width, height, maxval, payload = _parse_netpbm_header(data, b"P6")
-    need = 3 * width * height
-    if len(payload) < need:
-        raise TruncatedPayload(f"expected {need} sample bytes, got {len(payload)}")
-    raw = np.frombuffer(payload[:need], dtype=np.uint8).reshape(height, width, 3)
-    return RgbImage(raw.copy())
+    return RgbImage(_decode_samples(data, b"P6", 3)[0].copy())
 
 
 def encode_pgm(image: Image, maxval: int = 255) -> bytes:
@@ -188,9 +184,14 @@ def rgb_to_gray(img: RgbImage) -> Image:
     Computed as (299 R + 587 G + 114 B) / 255000 in exact integer arithmetic
     before the single division, so r=g=b=k maps to exactly k/255.
     """
-    rgb = img.pixels.astype(np.int64)
+    return _luma(img.pixels, 255)
+
+
+def _luma(rgb: np.ndarray, maxval: int) -> Image:
+    """BT.601 luma of raw (h, w, 3) samples, divided once by 1000 * maxval."""
+    rgb = rgb.astype(np.int64)
     luma = 299 * rgb[:, :, 0] + 587 * rgb[:, :, 1] + 114 * rgb[:, :, 2]
-    return Image(luma / 255000.0)
+    return Image(luma / (1000 * maxval))
 
 
 def _natural_key(name: str) -> tuple:
@@ -224,8 +225,8 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
     for path in paths:
         data = path.read_bytes()
         try:
-            if data[:2] == b"P6":
-                frame = rgb_to_gray(decode_ppm(data))
+            if data[:2] == b"P6":  # luma over the file's own maxval, as a P5 frame is
+                frame = _luma(*_decode_samples(data, b"P6", 3))
             else:
                 frame = decode_pgm(data)
         except FaceflowError as exc:

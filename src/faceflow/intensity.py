@@ -34,6 +34,7 @@ from .errors import DimensionMismatch, EmptySequence, UnknownRegion
 from .flow import (  # noqa: F401
     FlowField,
     FlowParams,
+    bounding_box,
     flow_support,
     gaussian_smooth,
     lucas_kanade,
@@ -111,7 +112,7 @@ def region_mean_magnitude(
     """
     if mask.shape != flow.u.shape:
         raise DimensionMismatch(
-            f"mask is {mask.shape[1]}x{mask.shape[0]}, flow is {flow.width}x{flow.height}"
+            f"mask is {mask.shape[1]}x{mask.shape[0]}, flow is {flow.u.shape[1]}x{flow.u.shape[0]}"
         )
     if normalize and diag <= 0:
         raise ValueError("normalize requires a positive diag")
@@ -160,7 +161,7 @@ def intensity_series(
     regions = []
     for mask in masks:
         mask = mask[box]
-        inner = _bounding_box(mask)
+        inner = bounding_box(mask)
         regions.append((inner, mask[inner]))
 
     # At one level the frames are smoothed here, the reference only once; a
@@ -204,14 +205,6 @@ def intensity_series(
         mode=mode,
         counts=counts,
     )
-
-
-def _bounding_box(mask: np.ndarray) -> tuple[slice, slice]:
-    """Rows and columns of mask's true pixels; empty slices for an empty mask."""
-    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
-    if rows.size == 0:
-        return slice(0, 0), slice(0, 0)
-    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
 def _available_cpus() -> int:

@@ -58,17 +58,17 @@ class GridSpec:
 
     def col_bounds(self, col: int) -> tuple[int, int]:
         """Half-open x range [x0, x1) of a column; the last column absorbs remainder pixels."""
-        base = self.width // self.cols
-        x0 = col * base
-        x1 = self.width if col == self.cols - 1 else x0 + base
-        return x0, x1
+        return _span(col, self.cols, self.width)
 
     def row_bounds(self, row: int) -> tuple[int, int]:
         """Half-open y range [y0, y1) of a row; the last row absorbs remainder pixels."""
-        base = self.height // self.rows
-        y0 = row * base
-        y1 = self.height if row == self.rows - 1 else y0 + base
-        return y0, y1
+        return _span(row, self.rows, self.height)
+
+
+def _span(index: int, parts: int, length: int) -> tuple[int, int]:
+    """Half-open range of one of `parts` equal parts of `length`; the last absorbs the remainder."""
+    base = length // parts
+    return index * base, length if index == parts - 1 else (index + 1) * base
 
 
 @dataclass(frozen=True, eq=False)

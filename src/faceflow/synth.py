@@ -83,6 +83,16 @@ class GroundTruth:
         return du, dv
 
 
+def _render(base: Image, truth: GroundTruth, n: int) -> FrameSequence:
+    """Frame 0 is base; frame t samples base bilinearly at each pixel minus truth.field(t)."""
+    ys, xs = np.indices(base.pixels.shape, dtype=np.float64)
+    frames = [base]
+    for t in range(1, n):
+        du, dv = truth.field(t)
+        frames.append(Image(sample_bilinear(base.pixels, xs - du, ys - dv)))
+    return FrameSequence(tuple(frames))
+
+
 def make_texture(width: int, height: int, seed: int) -> Image:
     """Deterministic band-limited texture: 8 random sinusoids, range [0.1, 0.9].
 
@@ -92,11 +102,7 @@ def make_texture(width: int, height: int, seed: int) -> Image:
     if width < 16 or height < 16:
         raise TooSmall(f"texture needs dimensions >= 16, got {width}x{height}")
     rng = np.random.default_rng(seed)
-    ys, xs = np.meshgrid(
-        np.arange(height, dtype=np.float64),
-        np.arange(width, dtype=np.float64),
-        indexing="ij",
-    )
+    ys, xs = np.indices((height, width), dtype=np.float64)
     tex = np.zeros((height, width), dtype=np.float64)
     for _ in range(8):
         wavelength = rng.uniform(8.0, 64.0)
@@ -130,18 +136,11 @@ def translate_sequence(
             f"cumulative shift ({abs(dx) * n:g}, {abs(dy) * n:g}) px must stay "
             f"under min dimension / 4 = {limit:g} px"
         )
-    ys, xs = np.meshgrid(
-        np.arange(base.height, dtype=np.float64),
-        np.arange(base.width, dtype=np.float64),
-        indexing="ij",
-    )
-    frames = [base]
     shifts = np.zeros((n, 2), dtype=np.float64)
     for t in range(1, n):
         shifts[t] = (dx * t, dy * t)
-        frames.append(Image(sample_bilinear(base.pixels, xs - dx * t, ys - dy * t)))
     truth = GroundTruth(width=base.width, height=base.height, shifts=shifts)
-    return FrameSequence(tuple(frames)), truth
+    return _render(base, truth, n), truth
 
 
 def _profile(n: int, onset: int, apex: int, offset: int) -> np.ndarray:
@@ -206,13 +205,4 @@ def synth_expression(
         weights=weights,
         profiles=profiles,
     )
-    ys, xs = np.meshgrid(
-        np.arange(height, dtype=np.float64),
-        np.arange(width, dtype=np.float64),
-        indexing="ij",
-    )
-    frames = [base]
-    for t in range(1, n):
-        du, dv = truth.field(t)
-        frames.append(Image(sample_bilinear(base.pixels, xs - du, ys - dv)))
-    return FrameSequence(tuple(frames)), truth
+    return _render(base, truth, n), truth

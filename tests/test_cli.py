@@ -182,6 +182,22 @@ class TestSeries:
         assert repr(pattern) in capsys.readouterr().err
         assert not (tmp_path / "series.csv").exists()
 
+    @pytest.mark.parametrize("header, samples", [(b"P5\n3 3\n100\n", [255] + [50] * 8),
+                                                 (b"P6\n3 3\n100\n", [0, 101, 0] + [50] * 24)],
+                             ids=["P5", "P6"])
+    def test_sample_above_maxval_is_data_error(self, tmp_path, capsys, header, samples):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for name in ("frame_1.pgm", "frame_2.pgm"):
+            (frames / name).write_bytes(header + bytes(samples))
+        layout = tmp_path / "one.regions"
+        layout.write_text("region a = r0c0\n")
+        code = main(["series", "--frames", str(frames), "--regions", str(layout), "--rows", "1",
+                     "--cols", "1", "--window-radius", "1", "--sigma", "0", "--out", str(tmp_path)])
+        assert code == EXIT_DATA_ERROR
+        assert "frame_1.pgm" in capsys.readouterr().err
+        assert not (tmp_path / "series.csv").exists()
+
     def test_missing_frames_dir_is_data_error(self, tmp_path, capsys):
         code = main(["series", "--frames", str(tmp_path / "void"), "--out", str(tmp_path)])
         assert code == EXIT_DATA_ERROR
@@ -287,29 +303,6 @@ class TestAnalyze:
             "deformed_regions",
         ]
 
-    def test_csv_and_in_process_reports_identical(self, mouth_run, tmp_path):
-        from_csv = tmp_path / "a"
-        from_frames = tmp_path / "b"
-        main(["analyze", "--series", str(mouth_run / "series.csv"), "--out", str(from_csv)])
-        main(["analyze", "--frames", str(mouth_run / "frames"), "--out", str(from_frames)])
-        assert (from_csv / "report.json").read_bytes() == (
-            from_frames / "report.json"
-        ).read_bytes()
-
-    def test_series_wins_over_frames(self, mouth_run, tmp_path):
-        zero_csv = tmp_path / "zero.csv"
-        zero_csv.write_text("frame,a\n1,0.0\n2,0.0\n")
-        main(
-            [
-                "analyze",
-                "--series", str(zero_csv),
-                "--frames", str(mouth_run / "frames"),
-                "--out", str(tmp_path),
-            ]
-        )
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["dominant_region"] is None
-
     def test_all_zero_series(self, tmp_path):
         csv = tmp_path / "zero.csv"
         csv.write_text("frame,a,b\n1,0.0,0.0\n2,0.0,0.0\n")
@@ -346,7 +339,32 @@ class TestAnalyze:
 
     def test_needs_series_or_frames(self, capsys):
         assert main(["analyze"]) == EXIT_CONFIG_ERROR
-        assert "--series or --frames" in capsys.readouterr().err
+        assert "missing required option --series" in capsys.readouterr().err
+
+    def test_series_options_are_not_analyze_options(self, mouth_run, tmp_path, capsys):
+        csv = str(mouth_run / "series.csv")
+        code = main(["analyze", "--frames", str(mouth_run / "frames"), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "--frames" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = 1\n")
+        code = main(["analyze", "--config", str(cfg), "--series", csv, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "sigma" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_window_wider_than_the_series_averages_all_of_it(self, mouth_run, tmp_path):
+        csv = mouth_run / "series.csv"
+        n = len(csv.read_text().splitlines()) - 1
+        reports = []
+        for window in (str(2 * n + 1), "1000000000000000000001"):
+            out = tmp_path / window
+            assert main(["analyze", "--series", str(csv), "--smooth-window", window,
+                         "--out", str(out)]) == EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            del report["parameters"]["smooth_window"]
+            reports.append(report)
+        assert reports[0] == reports[1]
 
     def test_custom_analysis_parameters_echoed(self, mouth_run, tmp_path):
         main(
@@ -405,6 +423,24 @@ class TestPlot:
     def test_missing_csv_is_data_error(self, tmp_path):
         missing = tmp_path / "nope.csv"
         assert main(["plot", "--series", str(missing), "--out", str(tmp_path)]) == EXIT_DATA_ERROR
+
+
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+class TestFrameNumberRange:
+    @pytest.mark.parametrize("frame", ["99999999999999999999", "9223372036854775808",
+                                       "-9223372036854775809"])
+    def test_outside_int64_is_data_error(self, tmp_path, capsys, command, frame):
+        csv = tmp_path / "series.csv"
+        csv.write_text(f"frame,a\n{frame},0.25\n")
+        assert main([command, "--series", str(csv), "--out", str(tmp_path)]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+        assert not any(tmp_path.glob("*.json")) and not any(tmp_path.glob("*.svg"))
+
+    def test_int64_extremes_accepted(self, tmp_path, command):
+        csv = tmp_path / "series.csv"
+        csv.write_text("frame,a\n-9223372036854775808,0.0\n9223372036854775807,0.25\n")
+        assert main([command, "--series", str(csv), "--out", str(tmp_path)]) == EXIT_OK
 
 
 class TestConfigFile:
@@ -663,6 +699,39 @@ class TestMutatedBytesFuzz:
                 ET.parse(out / written)  # well-formed XML whatever the region names
 
 
+def _wild_number():
+    """Integers up to 10**30 and every kind of float (nan, inf, subnormal), as text."""
+    return st.one_of(st.integers(-10**30, 10**30), st.floats()).map(repr)
+
+
+class TestAnalyzeFuzz:
+    @given(
+        theta=_mostly(st.floats(0.01, 0.99).map(repr), _wild_number()),
+        rho=_mostly(st.floats(0.01, 1.0).map(repr), _wild_number()),
+        run_length=_mostly(st.integers(1, 40).map(repr), _wild_number()),
+        smooth_window=_mostly(st.integers(0, 30).map(lambda k: repr(2 * k + 1)), _wild_number()),
+        frames=_mostly(*(st.lists(numbers, min_size=29, max_size=29, unique=True).map(sorted)
+                         for numbers in (st.integers(0, 10**4), st.integers(-10**30, 10**30)))),
+    )
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exits_with_a_known_code_and_no_traceback(self, mouth_run, tmp_path_factory, theta,
+                                                      rho, run_length, smooth_window, frames):
+        out = tmp_path_factory.mktemp("analyze_fuzz")
+        header, *rows = (mouth_run / "series.csv").read_text().splitlines()
+        assert len(rows) == len(frames)
+        csv = out / "series.csv"
+        csv.write_text("\n".join([header] + [f"{frame},{row.split(',', 1)[1]}"
+                                             for frame, row in zip(frames, rows)]) + "\n")
+        # --flag=value, so that negative numbers are not read as flags.
+        code, err = _run_main(["analyze", f"--series={csv}", f"--theta={theta}", f"--rho={rho}",
+                               f"--run-length={run_length}", f"--smooth-window={smooth_window}",
+                               f"--out={out}"])
+        assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_CONFIG_ERROR)
+        assert "Traceback" not in err
+        assert (code == EXIT_OK) == (err == "") == (out / "report.json").exists()
+
+
 def _empty_region_map(tmp_path):
     layout = tmp_path / "comments.regions"
     layout.write_text("# every region commented out\n# region mouth = r5c1\n")
@@ -670,7 +739,7 @@ def _empty_region_map(tmp_path):
 
 
 class TestEmptyRegionMap:
-    @pytest.mark.parametrize("command", ["series", "analyze"])
+    @pytest.mark.parametrize("command", ["series"])
     def test_rejected_before_any_frame_is_decoded(self, mouth_run, tmp_path, capsys, monkeypatch,
                                                   command):
         monkeypatch.setattr(faceflow.cli, "load_sequence",

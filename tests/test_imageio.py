@@ -94,6 +94,10 @@ class TestDecodePgm:
         with pytest.raises(MalformedHeader):
             decode_pgm(b"")
 
+    def test_sample_above_maxval(self):
+        with pytest.raises(UnsupportedMaxval, match="255 exceeds maxval 100"):
+            decode_pgm(pgm_bytes(2, 2, 100, [255, 0, 50, 100]))
+
 
 class TestDecodePpm:
     def test_pixel_bytes_verbatim(self):
@@ -117,6 +121,10 @@ class TestDecodePpm:
     def test_maxval_above_255(self):
         with pytest.raises(UnsupportedMaxval):
             decode_ppm(b"P6\n1 1\n300\n" + b"\x00" * 6)
+
+    def test_sample_above_maxval(self):
+        with pytest.raises(UnsupportedMaxval, match="16 exceeds maxval 15"):
+            decode_ppm(ppm_bytes(1, 2, 15, [15, 15, 15, 0, 16, 0]))
 
 
 class TestEncodePgm:
@@ -213,6 +221,23 @@ class TestLoadSequence:
         (tmp_path / "a_1.pgm").write_bytes(pgm_bytes(1, 1, 255, [0]))
         (tmp_path / "a_2.pgm").write_bytes(pgm_bytes(2, 1, 255, [0, 0]))
         with pytest.raises(DimensionMismatch, match="a_2.pgm"):
+            load_sequence(tmp_path)
+
+    @pytest.mark.parametrize("maxval", [1, 15, 100, 255])
+    def test_ppm_and_pgm_of_one_grey_level_agree(self, tmp_path, maxval):
+        levels = sorted({0, 1, maxval // 3, maxval // 2, maxval})
+        (tmp_path / "a_1.pgm").write_bytes(pgm_bytes(len(levels), 1, maxval, levels))
+        rgb = [level for level in levels for _ in range(3)]
+        (tmp_path / "a_2.pgm").write_bytes(ppm_bytes(len(levels), 1, maxval, rgb))
+        gray, color = load_sequence(tmp_path)
+        assert np.array_equal(gray.pixels, color.pixels)
+        assert color.pixels.max() == 1.0
+
+    @pytest.mark.parametrize("data", [pgm_bytes(1, 1, 15, [16]), ppm_bytes(1, 1, 15, [0, 16, 0])],
+                             ids=["P5", "P6"])
+    def test_sample_above_maxval_names_file(self, tmp_path, data):
+        (tmp_path / "over_1.pgm").write_bytes(data)
+        with pytest.raises(UnsupportedMaxval, match="over_1.pgm"):
             load_sequence(tmp_path)
 
     def test_decode_error_names_file(self, tmp_path):
