@@ -10,6 +10,7 @@ the analysis is invariant to rescaling the series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +88,17 @@ def smooth_series(values, window: int) -> np.ndarray:
         return data.copy()
     n = data.size
     half = min(window // 2, n)  # a window as wide as the series averages all of it
-    sums = np.concatenate(([0.0], np.cumsum(data)))
+    # Values near the float limit would overflow the running sum, so they are
+    # summed scaled down by an exact power of two (none below 2**960).
+    shift = max(math.frexp(float(np.abs(data).max()))[1] - 960, 0)
+    scaled = np.ldexp(data, -shift)
+    sums = np.concatenate(([0.0], np.cumsum(scaled)))
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half + 1, n)
-    return (sums[hi] - sums[lo]) / (hi - lo)
+    means = (sums[hi] - sums[lo]) / (hi - lo)
+    if shift:  # a mean rounded past the largest value could overflow when scaled back
+        means = np.ldexp(np.clip(means, scaled.min(), scaled.max()), shift)
+    return means
 
 
 def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:

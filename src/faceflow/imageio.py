@@ -23,12 +23,10 @@ from .errors import (
 
 __all__ = [
     "Image",
-    "RgbImage",
     "FrameSequence",
     "decode_pgm",
     "decode_ppm",
     "encode_pgm",
-    "rgb_to_gray",
     "load_sequence",
 ]
 
@@ -54,19 +52,6 @@ class Image:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class RgbImage:
-    """Interleaved 8-bit RGB raster: uint8 values, shape (height, width, 3)."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self) -> None:
-        pixels = np.asarray(self.pixels, dtype=np.uint8)
-        if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.size == 0:
-            raise ValueError("RgbImage.pixels must be a non-empty (h, w, 3) array")
-        object.__setattr__(self, "pixels", pixels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,35 +148,23 @@ def decode_pgm(data: bytes) -> Image:
     return Image(raw[:, :, 0].astype(np.float64) / maxval)
 
 
-def decode_ppm(data: bytes) -> RgbImage:
-    """Decode a binary PPM (P6) buffer, preserving the interleaved RGB bytes."""
-    return RgbImage(_decode_samples(data, b"P6", 3)[0].copy())
+def decode_ppm(data: bytes) -> Image:
+    """Decode a binary PPM (P6) buffer into a normalized grayscale image.
 
-
-def encode_pgm(image: Image, maxval: int = 255) -> bytes:
-    """Encode an image as binary PGM; inverse of decode_pgm for maxval 255."""
-    if not 1 <= maxval <= 255:
-        raise UnsupportedMaxval(f"maxval {maxval} outside 1..255")
-    samples = np.rint(image.pixels * maxval)
-    samples = np.clip(samples, 0, maxval).astype(np.uint8)
-    header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
-    return header + samples.tobytes()
-
-
-def rgb_to_gray(img: RgbImage) -> Image:
-    """Convert RGB to grayscale with BT.601 luma weights 0.299/0.587/0.114.
-
-    Computed as (299 R + 587 G + 114 B) / 255000 in exact integer arithmetic
-    before the single division, so r=g=b=k maps to exactly k/255.
+    BT.601 luma 299 R + 587 G + 114 B is summed in exact integers and divided
+    once by 1000 * maxval, so r=g=b=k maps to exactly k/maxval, as in P5.
     """
-    return _luma(img.pixels, 255)
-
-
-def _luma(rgb: np.ndarray, maxval: int) -> Image:
-    """BT.601 luma of raw (h, w, 3) samples, divided once by 1000 * maxval."""
-    rgb = rgb.astype(np.int64)
+    raw, maxval = _decode_samples(data, b"P6", 3)
+    rgb = raw.astype(np.int64)
     luma = 299 * rgb[:, :, 0] + 587 * rgb[:, :, 1] + 114 * rgb[:, :, 2]
     return Image(luma / (1000 * maxval))
+
+
+def encode_pgm(image: Image) -> bytes:
+    """Encode an image as 8-bit binary PGM; the inverse of decode_pgm at maxval 255."""
+    samples = np.clip(np.rint(image.pixels * 255), 0, 255).astype(np.uint8)
+    header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
+    return header + samples.tobytes()
 
 
 def _natural_key(name: str) -> tuple:
@@ -207,14 +180,15 @@ def _natural_key(name: str) -> tuple:
 def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequence:
     """Load every frame matching `pattern`, sorted by natural numeric order.
 
-    PPM files are converted to grayscale on load. All frames must share one
-    resolution.
+    Paths sort component by component relative to `directory`, so frames in
+    subdirectories stay grouped by directory. PPM files are converted to
+    grayscale on load. All frames must share one resolution.
     """
     root = Path(directory)
     try:
         paths = sorted(
             (p for p in root.glob(pattern) if p.is_file()),
-            key=lambda p: _natural_key(p.name),
+            key=lambda p: [_natural_key(part) for part in p.relative_to(root).parts],
         )
     except NotImplementedError as exc:  # pathlib's answer to an absolute pattern
         raise ValueError(f"frame pattern {pattern!r} must be relative to {root}") from exc
@@ -225,10 +199,7 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
     for path in paths:
         data = path.read_bytes()
         try:
-            if data[:2] == b"P6":  # luma over the file's own maxval, as a P5 frame is
-                frame = _luma(*_decode_samples(data, b"P6", 3))
-            else:
-                frame = decode_pgm(data)
+            frame = (decode_ppm if data[:2] == b"P6" else decode_pgm)(data)
         except FaceflowError as exc:
             raise type(exc)(f"{path.name}: {exc}") from exc
         if frames and (frame.width, frame.height) != (frames[0].width, frames[0].height):

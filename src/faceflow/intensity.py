@@ -3,8 +3,8 @@
 Each series row holds, for one frame index, the mean Euclidean displacement
 magnitude sqrt(u^2 + v^2) over a region's valid flow pixels. Reference mode
 measures every frame against frame 0 (the neutral face); consecutive mode
-measures frame-to-frame motion. Values are optionally normalized by the image
-diagonal so they are resolution-independent.
+measures frame-to-frame motion. The finished series is optionally divided by
+the image diagonal, once, so its values are resolution-independent.
 
 Flow is solved only on the regions' bounding box grown by the flow's
 support halo (see flow.flow_support), the part of the frame the regions'
@@ -99,32 +99,21 @@ def displacement_magnitude(vec: FlowVector) -> float:
     return math.hypot(vec.xi - vec.x, vec.yi - vec.y)
 
 
-def region_mean_magnitude(
-    flow: FlowField,
-    mask: np.ndarray,
-    normalize: bool = False,
-    diag: float = 0.0,
-) -> tuple[float, int]:
+def region_mean_magnitude(flow: FlowField, mask: np.ndarray) -> tuple[float, int]:
     """Mean displacement magnitude over mask & valid pixels, with that count.
 
-    Returns (0.0, 0) when no pixel qualifies. When normalize is set the mean
-    is divided by diag (the image diagonal in pixels).
+    The mean is in pixels; (0.0, 0) when no pixel qualifies.
     """
     if mask.shape != flow.u.shape:
         raise DimensionMismatch(
             f"mask is {mask.shape[1]}x{mask.shape[0]}, flow is {flow.u.shape[1]}x{flow.u.shape[0]}"
         )
-    if normalize and diag <= 0:
-        raise ValueError("normalize requires a positive diag")
     selected = mask & flow.valid
     count = np.count_nonzero(selected)
     if count == 0:
         return 0.0, 0
     # The sum divided by the count is what ndarray.mean computes.
-    mean = float(np.add.reduce(np.hypot(flow.u[selected], flow.v[selected])) / count)
-    if normalize:
-        mean /= diag
-    return mean, count
+    return float(np.add.reduce(np.hypot(flow.u[selected], flow.v[selected])) / count), count
 
 
 def intensity_series(
@@ -151,7 +140,6 @@ def intensity_series(
 
     names = region_map.names()
     masks = [region_mask(grid, region_map, name) for name in names]
-    diag = math.hypot(seq.width, seq.height)
     union = np.zeros((seq.height, seq.width), dtype=bool)
     for mask in masks:
         union |= mask
@@ -180,10 +168,7 @@ def intensity_series(
         flow = pyramidal_lk(first, crop(t), solve_params)
         return [
             region_mean_magnitude(
-                FlowField(u=flow.u[inner], v=flow.v[inner], valid=flow.valid[inner]),
-                mask,
-                normalize=normalize,
-                diag=diag,
+                FlowField(u=flow.u[inner], v=flow.v[inner], valid=flow.valid[inner]), mask
             )
             for inner, mask in regions
         ]
@@ -196,6 +181,8 @@ def intensity_series(
         for i, row in enumerate(pool.map(pair_row, range(1, n))):
             for j, (value, count) in enumerate(row):
                 values[i, j], counts[i, j] = value, count
+    if normalize:  # by the image diagonal, once for the whole series
+        values /= math.hypot(seq.width, seq.height)
 
     return IntensitySeries(
         regions=names,

@@ -65,7 +65,6 @@ class GroundTruth:
 
     width: int
     height: int
-    active_regions: tuple[str, ...] = ()
     shifts: np.ndarray | None = None
     weights: dict[str, np.ndarray] | None = None
     profiles: dict[str, np.ndarray] | None = None
@@ -78,8 +77,8 @@ class GroundTruth:
             du += self.shifts[t, 0]
             dv += self.shifts[t, 1]
         if self.weights is not None and self.profiles is not None:
-            for name in self.active_regions:
-                du += self.weights[name] * self.profiles[name][t]
+            for name, profile in self.profiles.items():
+                du += self.weights[name] * profile[t]
         return du, dv
 
 
@@ -198,11 +197,5 @@ def synth_expression(
         )
 
     base = make_texture(width, height, seed)
-    truth = GroundTruth(
-        width=width,
-        height=height,
-        active_regions=tuple(m.region for m in motions),
-        weights=weights,
-        profiles=profiles,
-    )
+    truth = GroundTruth(width=width, height=height, weights=weights, profiles=profiles)
     return _render(base, truth, n), truth

@@ -86,6 +86,14 @@ class TestSmoothSeries:
         assert out[2] == 2.4  # full window
         assert out[4] == 2.0
 
+    @pytest.mark.parametrize("value", [1.7e308, np.finfo(np.float64).max])
+    def test_values_near_float_limit_stay_finite(self, value):
+        # A running sum of these overflows unless they are scaled down first.
+        out = smooth_series([value, value, 0.0, value, value], 3)
+        assert np.isfinite(out).all()
+        assert out[0] == value and out[4] == value
+        assert out[2] == pytest.approx(value / 3 * 2, rel=1e-15)
+
     def test_even_window_rejected(self):
         with pytest.raises(EvenWindow):
             smooth_series([1.0, 2.0], 4)

@@ -311,6 +311,15 @@ class TestAnalyze:
         assert report["deformed_regions"] == []
         assert report["regions"]["a"]["onset"] is None
 
+    def test_huge_finite_magnitudes_give_strict_json(self, tmp_path, capsys):
+        csv = tmp_path / "huge.csv"
+        csv.write_text("frame,a,b\n" + "".join(f"{t},1.7e308,1.0\n" for t in range(1, 5)))
+        assert main(["analyze", "--series", str(csv), "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = _strict_json((tmp_path / "report.json").read_text())
+        assert report["regions"]["a"]["peak_value"] == 1.7e308
+        assert report["dominant_region"] == "a"
+
     def test_malformed_csv_names_line(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("frame,a\n1,0.5\n2,oops\n")
@@ -658,6 +667,13 @@ def _mutate(data: bytes, edits) -> bytes:
     return data
 
 
+def _strict_json(text):
+    """json.loads that rejects Infinity, -Infinity and NaN, which JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def _run_main(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -712,17 +728,24 @@ class TestAnalyzeFuzz:
         smooth_window=_mostly(st.integers(0, 30).map(lambda k: repr(2 * k + 1)), _wild_number()),
         frames=_mostly(*(st.lists(numbers, min_size=29, max_size=29, unique=True).map(sorted)
                          for numbers in (st.integers(0, 10**4), st.integers(-10**30, 10**30)))),
+        # Half the draws put the series within a few doublings of the float limit.
+        scale=st.one_of(st.integers(0, 1024), st.integers(1016, 1024)),
     )
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_exits_with_a_known_code_and_no_traceback(self, mouth_run, tmp_path_factory, theta,
-                                                      rho, run_length, smooth_window, frames):
+                                                      rho, run_length, smooth_window, frames,
+                                                      scale):
         out = tmp_path_factory.mktemp("analyze_fuzz")
         header, *rows = (mouth_run / "series.csv").read_text().splitlines()
         assert len(rows) == len(frames)
+        # Scaled by a power of two so the largest value lies in [2**(scale-1), 2**scale),
+        # up to the float limit; the analysis is scale-free.
+        values = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+        values = np.ldexp(values, scale - int(np.frexp(values.max())[1]))
         csv = out / "series.csv"
-        csv.write_text("\n".join([header] + [f"{frame},{row.split(',', 1)[1]}"
-                                             for frame, row in zip(frames, rows)]) + "\n")
+        csv.write_text("\n".join([header] + [",".join([str(frame), *map(repr, row.tolist())])
+                                             for frame, row in zip(frames, values)]) + "\n")
         # --flag=value, so that negative numbers are not read as flags.
         code, err = _run_main(["analyze", f"--series={csv}", f"--theta={theta}", f"--rho={rho}",
                                f"--run-length={run_length}", f"--smooth-window={smooth_window}",
@@ -730,6 +753,8 @@ class TestAnalyzeFuzz:
         assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_CONFIG_ERROR)
         assert "Traceback" not in err
         assert (code == EXIT_OK) == (err == "") == (out / "report.json").exists()
+        if code == EXIT_OK:
+            _strict_json((out / "report.json").read_text())
 
 
 def _empty_region_map(tmp_path):

@@ -11,14 +11,12 @@ from faceflow import (
     FrameSequence,
     Image,
     MalformedHeader,
-    RgbImage,
     TruncatedPayload,
     UnsupportedMaxval,
     decode_pgm,
     decode_ppm,
     encode_pgm,
     load_sequence,
-    rgb_to_gray,
 )
 
 
@@ -100,15 +98,17 @@ class TestDecodePgm:
 
 
 class TestDecodePpm:
-    def test_pixel_bytes_verbatim(self):
-        payload = [10, 20, 30, 40, 50, 60]
-        img = decode_ppm(ppm_bytes(2, 1, 255, payload))
-        assert isinstance(img, RgbImage)
-        assert np.array_equal(img.pixels, np.array([[[10, 20, 30], [40, 50, 60]]]))
+    def test_returns_grey_image(self):
+        img = decode_ppm(ppm_bytes(2, 1, 255, [10, 20, 30, 40, 50, 60]))
+        assert isinstance(img, Image)
+        assert img.pixels.shape == (1, 2) and img.width == 2 and img.height == 1
 
-    def test_sub_255_maxval_bytes_kept(self):
-        img = decode_ppm(ppm_bytes(1, 1, 100, [50, 25, 0]))
-        assert np.array_equal(img.pixels, np.array([[[50, 25, 0]]]))
+    @pytest.mark.parametrize("maxval", [1, 15, 100])
+    def test_grey_level_over_maxval(self, maxval):
+        ks = list(range(maxval + 1))
+        img = decode_ppm(ppm_bytes(len(ks), 1, maxval, [k for k in ks for _ in range(3)]))
+        assert np.array_equal(img.pixels, np.array([ks], dtype=np.float64) / maxval)
+        assert img.pixels[0, -1] == 1.0
 
     def test_wrong_magic(self):
         with pytest.raises(MalformedHeader):
@@ -145,39 +145,38 @@ class TestEncodePgm:
 
 
 class TestRgbToGray:
+    """decode_ppm's BT.601 luma, computed in integers and divided once."""
+
+    @staticmethod
+    def gray(rgb):
+        rgb = np.asarray(rgb, dtype=np.uint8)
+        height, width, _ = rgb.shape
+        return decode_ppm(ppm_bytes(width, height, 255, rgb.tobytes())).pixels
+
     def test_pure_red(self):
-        rgb = RgbImage(np.full((1, 1, 3), [255, 0, 0], dtype=np.uint8))
-        assert rgb_to_gray(rgb).pixels[0, 0] == 0.299
+        assert self.gray([[[255, 0, 0]]])[0, 0] == 0.299
 
     def test_pure_green(self):
-        rgb = RgbImage(np.full((1, 1, 3), [0, 255, 0], dtype=np.uint8))
-        assert rgb_to_gray(rgb).pixels[0, 0] == 0.587
+        assert self.gray([[[0, 255, 0]]])[0, 0] == 0.587
 
     def test_pure_blue(self):
-        rgb = RgbImage(np.full((1, 1, 3), [0, 0, 255], dtype=np.uint8))
-        assert rgb_to_gray(rgb).pixels[0, 0] == 0.114
+        assert self.gray([[[0, 0, 255]]])[0, 0] == 0.114
 
     def test_gray_pixels_map_to_exact_fraction(self):
         ks = np.arange(256, dtype=np.uint8)
-        rgb = RgbImage(np.stack([ks, ks, ks], axis=-1).reshape(16, 16, 3))
-        gray = rgb_to_gray(rgb)
-        assert np.array_equal(gray.pixels, ks.astype(np.float64).reshape(16, 16) / 255)
+        gray = self.gray(np.stack([ks, ks, ks], axis=-1).reshape(16, 16, 3))
+        assert np.array_equal(gray, ks.astype(np.float64).reshape(16, 16) / 255)
 
     def test_output_in_unit_range(self):
         rng = np.random.default_rng(0)
-        rgb = RgbImage(rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8))
-        gray = rgb_to_gray(rgb)
-        assert gray.pixels.min() >= 0.0 and gray.pixels.max() <= 1.0
+        gray = self.gray(rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8))
+        assert gray.min() >= 0.0 and gray.max() <= 1.0
 
 
 class TestImageTypes:
     def test_image_requires_2d(self):
         with pytest.raises(ValueError):
             Image(np.zeros((2, 2, 3)))
-
-    def test_rgb_requires_three_channels(self):
-        with pytest.raises(ValueError):
-            RgbImage(np.zeros((2, 2, 4), dtype=np.uint8))
 
     def test_sequence_rejects_mixed_dims(self):
         a = Image(np.zeros((2, 2)))
@@ -201,6 +200,19 @@ class TestLoadSequence:
         seq = load_sequence(tmp_path)
         values = [round(img.pixels[0, 0] * 255) for img in seq]
         assert values == [10, 20, 100]
+
+    @pytest.mark.parametrize("dirs", [("a", "b"), ("b", "a")], ids=["a-first", "b-first"])
+    def test_subdirectories_stay_grouped(self, tmp_path, dirs):
+        # Equal file names in two directories: the directory decides, in
+        # whichever order the directories were made.
+        for d in dirs:
+            (tmp_path / d).mkdir()
+            for i in (10, 2, 1):
+                value = i + (100 if d == "b" else 0)
+                (tmp_path / d / f"frame_{i}.pgm").write_bytes(pgm_bytes(1, 1, 255, [value]))
+        seq = load_sequence(tmp_path, pattern="*/*.pgm")
+        values = [round(img.pixels[0, 0] * 255) for img in seq]
+        assert values == [1, 2, 10, 101, 102, 110]
 
     def test_ppm_converted_to_gray(self, tmp_path):
         (tmp_path / "a.pgm").write_bytes(ppm_bytes(1, 1, 255, [255, 255, 255]))

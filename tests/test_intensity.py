@@ -69,13 +69,6 @@ class TestRegionMeanMagnitude:
         mask = np.ones((10, 10), dtype=bool)
         assert region_mean_magnitude(field, mask) == (1.0, 100)
 
-    def test_uniform_field_normalized(self):
-        field = uniform_field(480, 640, 0.6, 0.8)
-        mask = np.ones((480, 640), dtype=bool)
-        value, count = region_mean_magnitude(field, mask, normalize=True, diag=800.0)
-        assert value == 0.00125
-        assert count == 480 * 640
-
     def test_no_qualifying_pixels(self):
         field = uniform_field(4, 4, 1.0, 0.0, valid=False)
         mask = np.ones((4, 4), dtype=bool)
@@ -103,11 +96,6 @@ class TestRegionMeanMagnitude:
         field = uniform_field(4, 4, 0.0, 0.0)
         with pytest.raises(DimensionMismatch):
             region_mean_magnitude(field, np.ones((5, 4), dtype=bool))
-
-    def test_normalize_requires_diag(self):
-        field = uniform_field(4, 4, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            region_mean_magnitude(field, np.ones((4, 4), bool), normalize=True)
 
 
 class TestIntensitySeries:
@@ -285,8 +273,9 @@ def full_frame_series(seq, grid, rmap, params, mode):
     rows = []
     for t in range(1, len(seq)):
         flow = pyramidal_lk(seq[0] if mode == "reference" else seq[t - 1], seq[t], params)
-        rows.append([region_mean_magnitude(flow, mask, normalize=True, diag=diag) for mask in masks])
-    return np.array([[v for v, _ in row] for row in rows]), np.array([[c for _, c in row] for row in rows])
+        rows.append([region_mean_magnitude(flow, mask) for mask in masks])
+    values = np.array([[v for v, _ in row] for row in rows]) / diag
+    return values, np.array([[c for _, c in row] for row in rows])
 
 
 class TestFlowBox:
