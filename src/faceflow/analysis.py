@@ -109,9 +109,9 @@ def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
 
 def detect_events(
     values,
-    theta: float = 0.1,
-    run_length: int = 3,
-    smooth_window: int = 5,
+    theta: float = AnalysisParams.theta,
+    run_length: int = AnalysisParams.run_length,
+    smooth_window: int = AnalysisParams.smooth_window,
 ) -> RegionEvents:
     """Find onset/apex/offset indices on the smoothed series.
 
@@ -206,15 +206,6 @@ def build_report(series: IntensitySeries, params: AnalysisParams = AnalysisParam
     )
 
 
-def rank_regions(
-    series: IntensitySeries,
-    rho: float = 0.2,
-    theta: float = 0.1,
-    run_length: int = 3,
-    smooth_window: int = 5,
-) -> ExpressionReport:
-    """build_report with the parameters given as keywords."""
-    return build_report(
-        series,
-        AnalysisParams(theta=theta, run_length=run_length, rho=rho, smooth_window=smooth_window),
-    )
+def rank_regions(series: IntensitySeries, **params) -> ExpressionReport:
+    """build_report with the AnalysisParams fields given as keywords."""
+    return build_report(series, AnalysisParams(**params))

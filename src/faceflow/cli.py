@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError, ParseError, SeriesFormatError
 from .flow import FlowParams
 from .imageio import encode_pgm, load_sequence
 from .intensity import IntensitySeries, intensity_series
-from .regions import RegionMap, default_region_text, make_grid, parse_region_map
+from .regions import GridSpec, RegionMap, default_region_text, make_grid, parse_region_map
 from .synth import RegionMotion, make_texture, synth_expression, translate_sequence
 
 __all__ = [
@@ -59,6 +59,24 @@ def _choice_of(*allowed: str) -> Callable[[str], str]:
     return convert
 
 
+def _parse_motion(text: str) -> RegionMotion:
+    parts = text.split(":")
+    if len(parts) != 5:
+        raise ConfigError(
+            f"--active expects name:amplitude:onset:apex:offset, got {text!r}"
+        )
+    try:
+        return RegionMotion(
+            region=parts[0],
+            amplitude=float(parts[1]),
+            onset=int(parts[2]),
+            apex=int(parts[3]),
+            offset=int(parts[4]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"--active {text!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class _Opt:
     flag: str
@@ -74,15 +92,16 @@ class _Opt:
 
 
 _GRID_OPTS = (
-    _Opt("rows", int, 6, "grid rows (default 6)"),
-    _Opt("cols", int, 4, "grid columns (default 4)"),
+    _Opt("rows", int, GridSpec.rows, "grid rows"),
+    _Opt("cols", int, GridSpec.cols, "grid columns"),
     _Opt("regions", str, None, "region-map file (default: packaged facial layout)"),
 )
 _FLOW_OPTS = (
-    _Opt("window-radius", int, 7, "LK window radius in pixels (default 7)"),
-    _Opt("sigma", float, 1.0, "Gaussian pre-smoothing sigma, 0 disables (default 1.0)"),
-    _Opt("eigen-threshold", float, 1e-6, "validity threshold on the smaller eigenvalue (default 1e-6)"),
-    _Opt("pyramid-levels", int, 1, "coarse-to-fine levels, 1 = single level (default 1)"),
+    _Opt("window-radius", int, FlowParams.window_radius, "LK window radius in pixels"),
+    _Opt("sigma", float, FlowParams.smooth_sigma, "Gaussian pre-smoothing sigma, 0 disables"),
+    _Opt("eigen-threshold", float, FlowParams.eigen_threshold,
+         "validity threshold on the smaller eigenvalue"),
+    _Opt("pyramid-levels", int, FlowParams.pyramid_levels, "coarse-to-fine levels, 1 = single level"),
 )
 _SERIES_MODE_OPTS = (
     _Opt("mode", _choice_of("reference", "consecutive"), "reference",
@@ -90,17 +109,20 @@ _SERIES_MODE_OPTS = (
     _Opt("units", _choice_of("normalized", "pixels"), "normalized",
          "magnitudes normalized by the image diagonal, or raw pixels"),
 )
+# Each dest is an AnalysisParams field name.
 _ANALYSIS_OPTS = (
-    _Opt("theta", float, 0.1, "onset/offset threshold as a fraction of the peak (default 0.1)"),
-    _Opt("run-length", int, 3, "consecutive above-threshold frames required (default 3)"),
-    _Opt("rho", float, 0.2, "deformation significance as a fraction of the dominant peak (default 0.2)"),
-    _Opt("smooth-window", int, 5, "odd moving-average window for event detection (default 5)"),
+    _Opt("theta", float, AnalysisParams.theta, "onset/offset threshold as a fraction of the peak"),
+    _Opt("run-length", int, AnalysisParams.run_length, "consecutive above-threshold frames required"),
+    _Opt("rho", float, AnalysisParams.rho,
+         "deformation significance as a fraction of the dominant peak"),
+    _Opt("smooth-window", int, AnalysisParams.smooth_window,
+         "odd moving-average window for event detection"),
 )
-_OUT_OPT = _Opt("out", str, ".", "output directory (default: current directory)")
+_OUT_OPT = _Opt("out", str, ".", "output directory")
 
 _SERIES_OPTS = (
     _Opt("frames", str, None, "directory of PGM/PPM frames", required=True),
-    _Opt("pattern", str, "*.pgm", "frame filename glob (default *.pgm)"),
+    _Opt("pattern", str, "*.pgm", "frame filename glob"),
     *_GRID_OPTS,
     *_FLOW_OPTS,
     *_SERIES_MODE_OPTS,
@@ -117,13 +139,13 @@ _PLOT_OPTS = (
 )
 _SYNTH_OPTS = (
     _Opt("out", str, None, "directory to write frames and ground_truth.csv", required=True),
-    _Opt("width", int, 160, "frame width in pixels (default 160)"),
-    _Opt("height", int, 120, "frame height in pixels (default 120)"),
-    _Opt("count", int, 100, "number of frames (default 100)"),
-    _Opt("seed", int, 0, "texture seed (default 0)"),
-    _Opt("dx", float, 0.0, "horizontal shift per frame, translation mode (default 0)"),
-    _Opt("dy", float, 0.0, "vertical shift per frame, translation mode (default 0)"),
-    _Opt("active", str, None,
+    _Opt("width", int, 160, "frame width in pixels"),
+    _Opt("height", int, 120, "frame height in pixels"),
+    _Opt("count", int, 100, "number of frames"),
+    _Opt("seed", int, 0, "texture seed"),
+    _Opt("dx", float, 0.0, "horizontal shift per frame, translation mode"),
+    _Opt("dy", float, 0.0, "vertical shift per frame, translation mode"),
+    _Opt("active", _parse_motion, None,
          "region motion as name:amplitude:onset:apex:offset; repeatable; "
          "switches to expression mode", repeat=True),
     *_GRID_OPTS,
@@ -133,12 +155,9 @@ _SYNTH_OPTS = (
 def _add_opts(parser: argparse.ArgumentParser, opts: tuple[_Opt, ...]) -> None:
     parser.add_argument("--config", default=None, help="key=value config file; flags win")
     for opt in opts:
-        if opt.repeat:
-            parser.add_argument(f"--{opt.flag}", type=opt.convert, action="append",
-                                default=None, help=opt.help)
-        else:
-            parser.add_argument(f"--{opt.flag}", type=opt.convert, default=None,
-                                help=opt.help)
+        shown = "" if opt.default is None else f" (default {opt.default})"
+        parser.add_argument(f"--{opt.flag}", type=opt.convert, default=None,
+                            action="append" if opt.repeat else "store", help=opt.help + shown)
 
 
 def _read_text(path: str, what: str) -> str:
@@ -304,38 +323,33 @@ def render_series_svg(series: IntensitySeries) -> str:
     def sy(value: float) -> float:
         return top + plot_h * (1.0 - value / vmax)
 
+    def line(x1: float, y1: float, x2: float, y2: float, paint: str = 'stroke="black"') -> str:
+        return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {paint}/>'
+
+    def text(x: float, y: float, content: str, size: int, anchor: str = "") -> str:
+        align = f' text-anchor="{anchor}"' if anchor else ""
+        return (f'<text x="{x:.2f}" y="{y:.2f}"{align} font-family="monospace" '
+                f'font-size="{size}">{content}</text>')
+
+    axis_y = top + plot_h
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-        f'<line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}" y2="{top + plot_h:.2f}" stroke="black"/>',
-        f'<line x1="{left:.2f}" y1="{top + plot_h:.2f}" x2="{left + plot_w:.2f}" '
-        f'y2="{top + plot_h:.2f}" stroke="black"/>',
+        line(left, top, left, axis_y),
+        line(left, axis_y, left + plot_w, axis_y),
     ]
     for i in range(5):
         value = vmax * i / 4.0
         y = sy(value)
-        parts.append(
-            f'<line x1="{left - 4:.2f}" y1="{y:.2f}" x2="{left:.2f}" y2="{y:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8:.2f}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="monospace" font-size="10">{value:.2e}</text>'
-        )
+        parts.append(line(left - 4, y, left, y))
+        parts.append(text(left - 8, y + 4, f"{value:.2e}", 10, "end"))
         frame = fmin + fspan * i / 4.0
         x = sx(frame)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{top + plot_h:.2f}" x2="{x:.2f}" '
-            f'y2="{top + plot_h + 4:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{top + plot_h + 16:.2f}" text-anchor="middle" '
-            f'font-family="monospace" font-size="10">{frame:.0f}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 12:.2f}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">frame</text>'
-    )
+        parts.append(line(x, axis_y, x, axis_y + 4))
+        parts.append(text(x, axis_y + 16, f"{frame:.0f}", 10, "middle"))
+    parts.append(text(left + plot_w / 2, height - 12, "frame", 12, "middle"))
+    # The y-axis label keeps its integer x="14"; text() would write 14.00.
     parts.append(
         f'<text x="14" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="monospace" font-size="12" '
@@ -352,105 +366,63 @@ def render_series_svg(series: IntensitySeries) -> str:
         )
         ly = top + 10 + 18 * j
         lx = left + plot_w + 16
-        parts.append(
-            f'<line x1="{lx:.2f}" y1="{ly:.2f}" x2="{lx + 18:.2f}" y2="{ly:.2f}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 24:.2f}" y="{ly + 4:.2f}" font-family="monospace" '
-            f'font-size="12">{escape(name)}</text>'
-        )
+        parts.append(line(lx, ly, lx + 18, ly, f'stroke="{color}" stroke-width="1.5"'))
+        parts.append(text(lx + 24, ly + 4, escape(name), 12))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _write_text(path: Path, content: str) -> None:
+def _write_output(out: str, name: str, content: str) -> int:
+    path = Path(out) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content, encoding="utf-8", newline="\n")
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
-    cfg = _merge_options(args, _SERIES_OPTS)
+def _read_series(cfg: dict) -> IntensitySeries:
+    return parse_series_csv(Path(cfg["series"]).read_text("utf-8"))
+
+
+def _cmd_series(cfg: dict) -> int:
     region_map = _load_region_map(cfg)
     seq = load_sequence(cfg["frames"], cfg["pattern"])
-    grid = make_grid(seq.width, seq.height, cfg["rows"], cfg["cols"])
-    series = intensity_series(
-        seq,
-        grid,
-        region_map,
-        FlowParams(
-            window_radius=cfg["window_radius"],
-            smooth_sigma=cfg["sigma"],
-            eigen_threshold=cfg["eigen_threshold"],
-            pyramid_levels=cfg["pyramid_levels"],
-        ),
-        mode=cfg["mode"],
-        normalize=cfg["units"] == "normalized",
+    grid = make_grid(seq.width, seq.height, rows=cfg["rows"], cols=cfg["cols"])
+    params = FlowParams(
+        window_radius=cfg["window_radius"],
+        smooth_sigma=cfg["sigma"],
+        eigen_threshold=cfg["eigen_threshold"],
+        pyramid_levels=cfg["pyramid_levels"],
     )
-    path = Path(cfg["out"]) / "series.csv"
-    _write_text(path, format_series_csv(series))
-    print(f"wrote {path}")
-    return EXIT_OK
+    series = intensity_series(seq, grid, region_map, params, mode=cfg["mode"],
+                              normalize=cfg["units"] == "normalized")
+    return _write_output(cfg["out"], "series.csv", format_series_csv(series))
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _merge_options(args, _ANALYZE_OPTS)
-    series = parse_series_csv(Path(cfg["series"]).read_text("utf-8"))
-    params = AnalysisParams(
-        theta=cfg["theta"],
-        run_length=cfg["run_length"],
-        rho=cfg["rho"],
-        smooth_window=cfg["smooth_window"],
-    )
+def _cmd_analyze(cfg: dict) -> int:
+    series = _read_series(cfg)
+    params = AnalysisParams(**{opt.dest: cfg[opt.dest] for opt in _ANALYSIS_OPTS})
     report = build_report(series, params)
-    path = Path(cfg["out"]) / "report.json"
-    _write_text(path, json.dumps(report_to_dict(report), indent=2) + "\n")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write_output(cfg["out"], "report.json", json.dumps(report_to_dict(report), indent=2) + "\n")
 
 
-def _cmd_plot(args: argparse.Namespace) -> int:
-    cfg = _merge_options(args, _PLOT_OPTS)
-    series = parse_series_csv(Path(cfg["series"]).read_text("utf-8"))
-    path = Path(cfg["out"]) / "plot.svg"
-    _write_text(path, render_series_svg(series))
-    print(f"wrote {path}")
-    return EXIT_OK
+def _cmd_plot(cfg: dict) -> int:
+    return _write_output(cfg["out"], "plot.svg", render_series_svg(_read_series(cfg)))
 
 
-def _parse_motion(text: str) -> RegionMotion:
-    parts = text.split(":")
-    if len(parts) != 5:
-        raise ConfigError(
-            f"--active expects name:amplitude:onset:apex:offset, got {text!r}"
-        )
-    try:
-        return RegionMotion(
-            region=parts[0],
-            amplitude=float(parts[1]),
-            onset=int(parts[2]),
-            apex=int(parts[3]),
-            offset=int(parts[4]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"--active {text!r}: {exc}") from exc
-
-
-def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _merge_options(args, _SYNTH_OPTS)
+def _cmd_synth(cfg: dict) -> int:
     n = cfg["count"]
     if cfg["active"] and (cfg["dx"] or cfg["dy"]):
         raise ConfigError("--dx and --dy shift translation mode; they cannot be used with --active")
     if cfg["active"]:
-        grid = make_grid(cfg["width"], cfg["height"], cfg["rows"], cfg["cols"])
+        grid = make_grid(cfg["width"], cfg["height"], rows=cfg["rows"], cols=cfg["cols"])
         region_map = _load_region_map(cfg)
-        motions = [_parse_motion(text) for text in cfg["active"]]
         seq, truth = synth_expression(
-            cfg["width"], cfg["height"], grid, region_map, motions, n, cfg["seed"]
+            cfg["width"], cfg["height"], grid, region_map, cfg["active"], n, cfg["seed"]
         )
         lines = ["frame,region,amplitude"]
         for t in range(n):
-            for motion in motions:
+            for motion in cfg["active"]:
                 lines.append(f"{t},{motion.region},{truth.profiles[motion.region][t]:.8e}")
     else:
         base = make_texture(cfg["width"], cfg["height"], cfg["seed"])
@@ -463,7 +435,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for t, frame in enumerate(seq):
         (out_dir / f"frame_{t:04d}.pgm").write_bytes(encode_pgm(frame))
-    _write_text(out_dir / "ground_truth.csv", "\n".join(lines) + "\n")
+    (out_dir / "ground_truth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     print(f"wrote {len(seq)} frames and ground_truth.csv to {out_dir}")
     return EXIT_OK
 
@@ -482,7 +454,7 @@ def _build_parser() -> _Parser:
     ):
         sub = subparsers.add_parser(name, help=help_text)
         _add_opts(sub, opts)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, opts=opts)
     return parser
 
 
@@ -490,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        return args.handler(_merge_options(args, args.opts))
     # Data errors first: UnicodeDecodeError is a ValueError subclass but
     # signals unreadable input, not misconfiguration.
     except (DataError, OSError, UnicodeDecodeError) as exc:

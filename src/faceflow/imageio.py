@@ -117,7 +117,10 @@ def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, byte
     for token in tokens[1:]:
         if not token.isdigit():
             raise MalformedHeader(f"non-numeric header token {token!r}")
-    width, height, maxval = (int(t) for t in tokens[1:])
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:])
+    except ValueError:  # more digits than the interpreter's int() limit
+        raise MalformedHeader("header number too long") from None
     if width < 1 or height < 1:
         raise MalformedHeader(f"invalid dimensions {width}x{height}")
     if maxval > 255:

@@ -100,7 +100,7 @@ class RegionMap:
         return self.regions[name]
 
 
-def make_grid(width: int, height: int, rows: int = 6, cols: int = 4) -> GridSpec:
+def make_grid(width: int, height: int, rows: int = GridSpec.rows, cols: int = GridSpec.cols) -> GridSpec:
     """Build a grid whose cells tile the frame exactly."""
     return GridSpec(width=width, height=height, rows=rows, cols=cols)
 
@@ -129,7 +129,7 @@ def region_mask(grid: GridSpec, region_map: RegionMap, name: str) -> np.ndarray:
     return mask
 
 
-def parse_region_map(text: str, rows: int = 6, cols: int = 4) -> RegionMap:
+def parse_region_map(text: str, rows: int = GridSpec.rows, cols: int = GridSpec.cols) -> RegionMap:
     """Parse `region <name> = r<row>c<col>, ...` lines into a RegionMap.
 
     '#' starts a comment; blank lines are ignored. Cells are validated against
@@ -169,4 +169,4 @@ def default_region_text() -> str:
 
 def default_region_map() -> RegionMap:
     """The packaged facial layout for a 6x4 grid: eyes_eyebrows, cheeks, mouth."""
-    return parse_region_map(default_region_text(), rows=6, cols=4)
+    return parse_region_map(default_region_text())

@@ -52,6 +52,10 @@ class RegionMotion:
             )
         if not math.isfinite(self.amplitude) or self.amplitude < 0:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if self.amplitude > 0 and self.apex == self.offset:  # the ramp would never reach it
+            raise ValueError(
+                f"apex must come before offset when amplitude > 0, got {self.apex}/{self.offset}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +134,7 @@ def translate_sequence(
     if n < 2:
         raise ValueError(f"need at least 2 frames, got {n}")
     limit = min(base.width, base.height) / 4.0
-    if abs(dx) * n >= limit or abs(dy) * n >= limit:
+    if not (abs(dx) * n < limit and abs(dy) * n < limit):  # a nan shift fails too
         raise ExcessiveShift(
             f"cumulative shift ({abs(dx) * n:g}, {abs(dy) * n:g}) px must stay "
             f"under min dimension / 4 = {limit:g} px"

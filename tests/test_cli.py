@@ -6,12 +6,14 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import threading
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +24,19 @@ import faceflow.cli
 import faceflow.errors
 import faceflow.intensity
 from faceflow import (
+    AnalysisParams,
     ConfigError,
     DataError,
     DimensionMismatch,
+    FlowParams,
+    GridSpec,
     IntensitySeries,
     SeriesFormatError,
     build_report,
+    default_region_map,
+    intensity_series,
+    load_sequence,
+    make_grid,
 )
 from faceflow.cli import (
     EXIT_CONFIG_ERROR,
@@ -104,6 +113,21 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path), "--active", "mouth:1.0"])
         assert code == EXIT_CONFIG_ERROR
         assert "--active" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--dx", "--dy"])
+    def test_non_finite_shift_is_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "frames"
+        assert main(["synth", "--out", str(out), "--count", "5", flag, value]) == EXIT_CONFIG_ERROR
+        assert "shift" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_apex_at_offset_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "frames"
+        code = main(["synth", "--out", str(out), "--count", "12", "--active", "mouth:2:3:10:10"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "--active" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--dx", "--dy"])
     def test_shift_with_active_rejected(self, tmp_path, capsys, flag):
@@ -198,6 +222,14 @@ class TestSeries:
         assert "frame_1.pgm" in capsys.readouterr().err
         assert not (tmp_path / "series.csv").exists()
 
+    def test_header_number_over_int_digit_limit_is_data_error(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "frame_1.pgm").write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n" + bytes(4))
+        assert main(["series", "--frames", str(frames), "--out", str(tmp_path)]) == EXIT_DATA_ERROR
+        assert "frame_1.pgm" in capsys.readouterr().err
+        assert not (tmp_path / "series.csv").exists()
+
     def test_missing_frames_dir_is_data_error(self, tmp_path, capsys):
         code = main(["series", "--frames", str(tmp_path / "void"), "--out", str(tmp_path)])
         assert code == EXIT_DATA_ERROR
@@ -278,6 +310,12 @@ class TestSeries:
         assert code == EXIT_DATA_ERROR
         assert capsys.readouterr().err == "error: frame pair 5 failed\n"
         assert calls and not any(calls)  # every pair ran on a worker thread
+
+    def test_defaults_are_the_library_defaults(self, mouth_run):
+        seq = load_sequence(mouth_run / "frames")
+        series = intensity_series(seq, make_grid(seq.width, seq.height), default_region_map(),
+                                  FlowParams())
+        assert (mouth_run / "series.csv").read_text() == format_series_csv(series)
 
     def test_unknown_flag(self, capsys):
         assert main(["series", "--framez", "x"]) == EXIT_CONFIG_ERROR
@@ -374,6 +412,11 @@ class TestAnalyze:
             del report["parameters"]["smooth_window"]
             reports.append(report)
         assert reports[0] == reports[1]
+
+    def test_default_analysis_parameters_echoed(self, mouth_run, tmp_path):
+        main(["analyze", "--series", str(mouth_run / "series.csv"), "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["parameters"] == asdict(AnalysisParams())
 
     def test_custom_analysis_parameters_echoed(self, mouth_run, tmp_path):
         main(
@@ -576,6 +619,31 @@ class TestTopLevel:
             main(["--help"])
         assert info.value.code == 0
         assert "synth" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flags", [
+        ("series", ["--rows", "--cols", "--window-radius", "--sigma", "--eigen-threshold",
+                    "--pyramid-levels"]),
+        ("analyze", ["--theta", "--run-length", "--rho", "--smooth-window"]),
+        ("plot", []),
+        ("synth", ["--rows", "--cols"]),
+    ])
+    def test_subcommand_help_shows_the_dataclass_defaults(self, capsys, command, flags):
+        flow, analysis = FlowParams(), AnalysisParams()
+        defaults = {
+            "--rows": GridSpec.rows, "--cols": GridSpec.cols,
+            "--window-radius": flow.window_radius, "--sigma": flow.smooth_sigma,
+            "--eigen-threshold": flow.eigen_threshold, "--pyramid-levels": flow.pyramid_levels,
+            "--theta": analysis.theta, "--run-length": analysis.run_length,
+            "--rho": analysis.rho, "--smooth-window": analysis.smooth_window,
+        }
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        shown = dict(re.findall(r"(--[a-z-]+) [A-Z_]+ (?:(?!--)[^()])*\(default ([^)]*)\)", text))
+        assert {flag: shown.get(flag) for flag in flags} == {
+            flag: str(defaults[flag]) for flag in flags
+        }
 
 
 @pytest.fixture(scope="module")

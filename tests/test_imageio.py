@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from faceflow import (
+    DataError,
     DimensionMismatch,
     EmptySequence,
     FrameSequence,
@@ -95,6 +96,13 @@ class TestDecodePgm:
     def test_sample_above_maxval(self):
         with pytest.raises(UnsupportedMaxval, match="255 exceeds maxval 100"):
             decode_pgm(pgm_bytes(2, 2, 100, [255, 0, 50, 100]))
+
+    @pytest.mark.parametrize("decode, magic", [(decode_pgm, "P5"), (decode_ppm, "P6")],
+                             ids=["P5", "P6"])
+    def test_header_number_over_int_digit_limit(self, decode, magic):
+        # 5000 digits is past the 4300-digit limit of int() on Python >= 3.11.
+        with pytest.raises(DataError):
+            decode(f"{magic}\n{'1' * 5000} 2\n255\n".encode() + bytes(12))
 
 
 class TestDecodePpm:

@@ -92,6 +92,14 @@ class TestTranslateSequence:
         with pytest.raises(ExcessiveShift):
             translate_sequence(base, 0.0, -2.0, 4)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("axis", ["dx", "dy"])
+    def test_non_finite_shift_rejected(self, axis, value):
+        base = make_texture(32, 32, seed=0)
+        shift = {"dx": 0.0, "dy": 0.0, axis: value}
+        with pytest.raises(ExcessiveShift):
+            translate_sequence(base, shift["dx"], shift["dy"], 4)
+
     def test_too_few_frames(self):
         base = make_texture(32, 32, seed=0)
         with pytest.raises(ValueError):
@@ -199,6 +207,17 @@ class TestRegionMotion:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             RegionMotion("mouth", -1.0, onset=1, apex=3, offset=9)
+
+    def test_apex_at_offset_rejected(self):
+        # The ramp would drop to zero at the apex frame and never reach the amplitude.
+        with pytest.raises(ValueError, match="apex"):
+            RegionMotion("mouth", 2.0, onset=3, apex=10, offset=10)
+
+    def test_apex_at_onset_reaches_amplitude(self):
+        grid = make_grid(160, 120)
+        motion = RegionMotion("mouth", 2.0, onset=3, apex=3, offset=10)
+        _, truth = synth_expression(160, 120, grid, default_region_map(), (motion,), 12, seed=0)
+        assert truth.profiles["mouth"][3] == 2.0
 
     def test_flat_profile_allowed(self):
         motion = RegionMotion("mouth", 0.0, onset=2, apex=2, offset=2)
