@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeries, EvenWindow, InvalidThreshold
+from .errors import ConfigError, DataError
 from .intensity import IntensitySeries
 
 __all__ = [
@@ -44,13 +44,13 @@ class AnalysisParams:
 
     def __post_init__(self) -> None:
         if not 0 < self.theta < 1:
-            raise InvalidThreshold(f"theta must be in (0, 1), got {self.theta}")
+            raise ConfigError(f"theta must be in (0, 1), got {self.theta}")
         if self.run_length < 1:
-            raise InvalidThreshold(f"run_length must be >= 1, got {self.run_length}")
+            raise ConfigError(f"run_length must be >= 1, got {self.run_length}")
         if not 0 < self.rho <= 1:
-            raise InvalidThreshold(f"rho must be in (0, 1], got {self.rho}")
+            raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
-            raise EvenWindow(
+            raise ConfigError(
                 f"smoothing window must be odd and >= 1, got {self.smooth_window}"
             )
 
@@ -83,7 +83,7 @@ def smooth_series(values, window: int) -> np.ndarray:
     AnalysisParams(smooth_window=window)  # validates the window
     data = np.asarray(values, dtype=np.float64)
     if data.ndim != 1:
-        raise ValueError("smooth_series expects a 1-D sequence")
+        raise ConfigError("smooth_series expects a 1-D sequence")
     if window == 1 or data.size == 0:
         return data.copy()
     n = data.size
@@ -124,7 +124,7 @@ def detect_events(
     AnalysisParams(theta=theta, run_length=run_length)  # validates; smooth_series the window
     smoothed = smooth_series(values, smooth_window)
     if smoothed.size == 0:
-        raise EmptySeries("cannot detect events on an empty series")
+        raise DataError("cannot detect events on an empty series")
 
     peak = float(smoothed.max())
     if peak <= 0:
@@ -165,7 +165,7 @@ def build_report(series: IntensitySeries, params: AnalysisParams = AnalysisParam
     descending peak. Event indices are reported as frame numbers.
     """
     if not series.regions or series.values.size == 0:
-        raise EmptySeries("series has no regions or no rows")
+        raise DataError("series has no regions or no rows")
 
     per_region: dict[str, RegionEvents] = {}
     peaks: dict[str, float] = {}

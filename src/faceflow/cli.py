@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import AnalysisParams, ExpressionReport, build_report
-from .errors import ConfigError, DataError, ParseError, SeriesFormatError
+from .errors import ConfigError, DataError
 from .flow import FlowParams
 from .imageio import encode_pgm, load_sequence
 from .intensity import IntensitySeries, intensity_series
@@ -73,7 +73,7 @@ def _parse_motion(text: str) -> RegionMotion:
             apex=int(parts[3]),
             offset=int(parts[4]),
         )
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:  # a bad number, or RegionMotion's own check
         raise ConfigError(f"--active {text!r}: {exc}") from exc
 
 
@@ -177,6 +177,8 @@ def _read_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"config file {path} line {lineno}: expected key=value")
+        if "\0" in line:  # argv cannot carry one, so this is the one place to catch it
+            raise ConfigError(f"config file {path} line {lineno}: contains a NUL byte")
         key, value = line.split("=", 1)
         entries[key.strip()] = value.strip()
     return entries
@@ -215,7 +217,7 @@ def _load_region_map(cfg: dict) -> RegionMap:
         text = default_region_text()
     region_map = parse_region_map(text, rows=cfg["rows"], cols=cfg["cols"])
     if not region_map.names():
-        raise ParseError(f"region map {cfg['regions']} defines no regions")
+        raise ConfigError(f"region map {cfg['regions']} defines no regions")
     return region_map
 
 
@@ -229,19 +231,19 @@ def format_series_csv(series: IntensitySeries) -> str:
 
 
 def parse_series_csv(text: str) -> IntensitySeries:
-    """Parse series.csv text; raises SeriesFormatError naming the bad line."""
+    """Parse series.csv text; raises DataError naming the bad line."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
-        raise SeriesFormatError("line 1: empty file, expected 'frame,<region>,...' header")
+        raise DataError("line 1: empty file, expected 'frame,<region>,...' header")
     header = lines[0].split(",")
     if header[0] != "frame" or len(header) < 2 or any(not name.strip() for name in header[1:]):
-        raise SeriesFormatError("line 1: expected header 'frame,<region>,...'")
+        raise DataError("line 1: expected header 'frame,<region>,...'")
     if not all(name.isprintable() for name in header[1:]):
-        raise SeriesFormatError("line 1: region names must be printable text")
+        raise DataError("line 1: region names must be printable text")
     regions = tuple(name.strip() for name in header[1:])
     duplicates = sorted({name for name in regions if regions.count(name) > 1})
     if duplicates:
-        raise SeriesFormatError(f"line 1: duplicate region column(s) {', '.join(duplicates)}")
+        raise DataError(f"line 1: duplicate region column(s) {', '.join(duplicates)}")
 
     frames: list[int] = []
     rows: list[list[float]] = []
@@ -250,30 +252,30 @@ def parse_series_csv(text: str) -> IntensitySeries:
             continue
         parts = line.split(",")
         if len(parts) != len(header):
-            raise SeriesFormatError(
+            raise DataError(
                 f"line {lineno}: expected {len(header)} fields, got {len(parts)}"
             )
         try:
             frame = int(parts[0])
         except ValueError:
-            raise SeriesFormatError(f"line {lineno}: bad frame index {parts[0]!r}") from None
+            raise DataError(f"line {lineno}: bad frame index {parts[0]!r}") from None
         if not -(2**63) <= frame < 2**63:
-            raise SeriesFormatError(f"line {lineno}: frame {frame} outside the 64-bit range")
+            raise DataError(f"line {lineno}: frame {frame} outside the 64-bit range")
         if frames and frame <= frames[-1]:
-            raise SeriesFormatError(
+            raise DataError(
                 f"line {lineno}: frame {frame} does not follow frame {frames[-1]}; "
                 "frame numbers must be strictly increasing"
             )
         try:
             magnitudes = [float(part) for part in parts[1:]]
         except ValueError:
-            raise SeriesFormatError(f"line {lineno}: non-numeric magnitude") from None
+            raise DataError(f"line {lineno}: non-numeric magnitude") from None
         if any(not math.isfinite(m) or m < 0 for m in magnitudes):
-            raise SeriesFormatError(f"line {lineno}: magnitudes must be finite and >= 0")
+            raise DataError(f"line {lineno}: magnitudes must be finite and >= 0")
         frames.append(frame)
         rows.append(magnitudes)
     if not rows:
-        raise SeriesFormatError("line 2: no data rows")
+        raise DataError("line 2: no data rows")
     return IntensitySeries(
         regions=regions,
         frames=np.array(frames, dtype=np.int64),
@@ -381,7 +383,11 @@ def _write_output(out: str, name: str, content: str) -> int:
 
 
 def _read_series(cfg: dict) -> IntensitySeries:
-    return parse_series_csv(Path(cfg["series"]).read_text("utf-8"))
+    try:
+        text = Path(cfg["series"]).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"series file {cfg['series']}: {exc}") from exc
+    return parse_series_csv(text)
 
 
 def _cmd_series(cfg: dict) -> int:
@@ -463,12 +469,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(_merge_options(args, args.opts))
-    # Data errors first: UnicodeDecodeError is a ValueError subclass but
-    # signals unreadable input, not misconfiguration.
-    except (DataError, OSError, UnicodeDecodeError) as exc:
+    except (DataError, OSError) as exc:  # OSError: file I/O
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

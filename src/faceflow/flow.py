@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, PyramidTooDeep
+from .errors import ConfigError, DataError
 from .imageio import Image
 
 __all__ = [
@@ -48,15 +48,15 @@ class FlowParams:
     def __post_init__(self) -> None:
         for name in ("smooth_sigma", "eigen_threshold"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.window_radius < 1:
-            raise ValueError(f"window_radius must be >= 1, got {self.window_radius}")
+            raise ConfigError(f"window_radius must be >= 1, got {self.window_radius}")
         if self.smooth_sigma < 0:
-            raise ValueError(f"smooth_sigma must be >= 0, got {self.smooth_sigma}")
+            raise ConfigError(f"smooth_sigma must be >= 0, got {self.smooth_sigma}")
         if self.eigen_threshold < 0:
-            raise ValueError(f"eigen_threshold must be >= 0, got {self.eigen_threshold}")
+            raise ConfigError(f"eigen_threshold must be >= 0, got {self.eigen_threshold}")
         if self.pyramid_levels < 1:
-            raise ValueError(f"pyramid_levels must be >= 1, got {self.pyramid_levels}")
+            raise ConfigError(f"pyramid_levels must be >= 1, got {self.pyramid_levels}")
 
 
 class GradientField(NamedTuple):
@@ -80,12 +80,12 @@ class FlowField:
 
     def __post_init__(self) -> None:
         if not (self.u.shape == self.v.shape == self.valid.shape):
-            raise DimensionMismatch("flow rasters must share one shape")
+            raise DataError("flow rasters must share one shape")
 
 
 def _require_same_shape(i1: Image, i2: Image) -> None:
     if i1.pixels.shape != i2.pixels.shape:
-        raise DimensionMismatch(
+        raise DataError(
             f"frames are {i1.width}x{i1.height} and {i2.width}x{i2.height}"
         )
 
@@ -116,7 +116,7 @@ def gaussian_smooth(img: Image, sigma: float) -> Image:
     sigma = 0 returns the input unchanged.
     """
     if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+        raise ConfigError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
         return img
     return Image(_smooth_array(img.pixels, sigma))
@@ -303,14 +303,14 @@ def _check_fits(width: int, height: int, p: FlowParams) -> None:
     side = 2 * p.window_radius + 1
     # The shift is bounded first, so a huge level count never builds a huge int.
     if levels - 1 >= min_dim.bit_length() or min_dim < side << (levels - 1):
-        raise PyramidTooDeep(
+        raise ConfigError(
             f"{levels} level(s) with window radius {p.window_radius} need min dimension "
             f">= 2^{levels - 1} * {side}, image is {width}x{height}"
         )
     # ceil(3 sigma) > min_dim exactly when 3 sigma > min_dim, and the float
     # comparison cannot overflow the way ceil(inf) does.
     if 3.0 * p.smooth_sigma > min_dim:
-        raise PyramidTooDeep(
+        raise ConfigError(
             f"smoothing sigma {p.smooth_sigma} needs a kernel radius ceil(3 sigma) "
             f"<= min dimension, image is {width}x{height}"
         )

@@ -12,14 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySequence,
-    FaceflowError,
-    MalformedHeader,
-    TruncatedPayload,
-    UnsupportedMaxval,
-)
+from .errors import ConfigError, DataError, FaceflowError
 
 __all__ = [
     "Image",
@@ -42,7 +35,7 @@ class Image:
     def __post_init__(self) -> None:
         pixels = np.asarray(self.pixels, dtype=np.float64)
         if pixels.ndim != 2 or pixels.size == 0:
-            raise ValueError("Image.pixels must be a non-empty 2-D array")
+            raise ConfigError("Image.pixels must be a non-empty 2-D array")
         object.__setattr__(self, "pixels", pixels)
 
     @property
@@ -62,11 +55,11 @@ class FrameSequence:
 
     def __post_init__(self) -> None:
         if not self.frames:
-            raise EmptySequence("frame sequence has no frames")
+            raise DataError("frame sequence has no frames")
         first = self.frames[0]
         for i, frame in enumerate(self.frames):
             if (frame.width, frame.height) != (first.width, first.height):
-                raise DimensionMismatch(
+                raise DataError(
                     f"frame {i} is {frame.width}x{frame.height}, "
                     f"expected {first.width}x{first.height}"
                 )
@@ -99,7 +92,7 @@ def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, byte
     i, n = 0, len(data)
     while len(tokens) < 4:
         if i >= n:
-            raise MalformedHeader("header ended before width, height, and maxval")
+            raise DataError("header ended before width, height, and maxval")
         byte = data[i]
         if byte in _WHITESPACE:
             i += 1
@@ -113,22 +106,22 @@ def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, byte
             tokens.append(data[start:i])
 
     if tokens[0] != magic:
-        raise MalformedHeader(f"expected magic {magic.decode()}, got {tokens[0]!r}")
+        raise DataError(f"expected magic {magic.decode()}, got {tokens[0]!r}")
     for token in tokens[1:]:
         if not token.isdigit():
-            raise MalformedHeader(f"non-numeric header token {token!r}")
+            raise DataError(f"non-numeric header token {token!r}")
     try:
         width, height, maxval = (int(t) for t in tokens[1:])
     except ValueError:  # more digits than the interpreter's int() limit
-        raise MalformedHeader("header number too long") from None
+        raise DataError("header number too long") from None
     if width < 1 or height < 1:
-        raise MalformedHeader(f"invalid dimensions {width}x{height}")
+        raise DataError(f"invalid dimensions {width}x{height}")
     if maxval > 255:
-        raise UnsupportedMaxval(f"maxval {maxval} exceeds 255")
+        raise DataError(f"maxval {maxval} exceeds 255")
     if maxval < 1:
-        raise MalformedHeader(f"invalid maxval {maxval}")
+        raise DataError(f"invalid maxval {maxval}")
     if i >= n or data[i] not in _WHITESPACE:
-        raise MalformedHeader("missing whitespace byte after maxval")
+        raise DataError("missing whitespace byte after maxval")
     return width, height, maxval, data[i + 1 :]
 
 
@@ -137,11 +130,11 @@ def _decode_samples(data: bytes, magic: bytes, channels: int) -> tuple[np.ndarra
     width, height, maxval, payload = _parse_netpbm_header(data, magic)
     need = channels * width * height
     if len(payload) < need:
-        raise TruncatedPayload(f"expected {need} sample bytes, got {len(payload)}")
+        raise DataError(f"expected {need} sample bytes, got {len(payload)}")
     raw = np.frombuffer(payload[:need], dtype=np.uint8).reshape(height, width, channels)
     # A sample above maxval would decode to an intensity above 1; 8-bit samples cannot be.
     if maxval < 255 and raw.max() > maxval:
-        raise UnsupportedMaxval(f"sample {raw.max()} exceeds maxval {maxval}")
+        raise DataError(f"sample {raw.max()} exceeds maxval {maxval}")
     return raw, maxval
 
 
@@ -187,16 +180,18 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
     subdirectories stay grouped by directory. PPM files are converted to
     grayscale on load. All frames must share one resolution.
     """
-    root = Path(directory)
-    try:
-        paths = sorted(
-            (p for p in root.glob(pattern) if p.is_file()),
-            key=lambda p: [_natural_key(part) for part in p.relative_to(root).parts],
-        )
-    except NotImplementedError as exc:  # pathlib's answer to an absolute pattern
-        raise ValueError(f"frame pattern {pattern!r} must be relative to {root}") from exc
+    root, parts = Path(directory), Path(pattern).parts
+    partial_star = any("**" in part and part != "**" for part in parts)
+    # pathlib cannot glob these, and rejects them differently across Python versions.
+    if not parts or Path(pattern).is_absolute() or partial_star:
+        raise ConfigError(f"frame pattern {pattern!r} must name files under {root}, "
+                          "with '**' only as a whole path component")
+    paths = sorted(
+        (p for p in root.glob(pattern) if p.is_file()),
+        key=lambda p: [_natural_key(part) for part in p.relative_to(root).parts],
+    )
     if not paths:
-        raise EmptySequence(f"no files match {pattern!r} in {root}")
+        raise DataError(f"no files match {pattern!r} in {root}")
 
     frames: list[Image] = []
     for path in paths:
@@ -206,7 +201,7 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
         except FaceflowError as exc:
             raise type(exc)(f"{path.name}: {exc}") from exc
         if frames and (frame.width, frame.height) != (frames[0].width, frames[0].height):
-            raise DimensionMismatch(
+            raise DataError(
                 f"{path.name} is {frame.width}x{frame.height}, expected "
                 f"{frames[0].width}x{frames[0].height} from {paths[0].name}"
             )

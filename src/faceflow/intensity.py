@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySequence, UnknownRegion
+from .errors import ConfigError, DataError
 # lucas_kanade is not called here but stays importable by this module's name:
 # perfbench/tracing.py wraps both flow entry points where intensity looks them up.
 from .flow import (  # noqa: F401
@@ -64,7 +64,7 @@ class FlowVector:
     def __post_init__(self) -> None:
         for value in (self.xi, self.yi, self.x, self.y):
             if not math.isfinite(value):
-                raise ValueError(f"FlowVector components must be finite, got {value}")
+                raise ConfigError(f"FlowVector components must be finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +84,13 @@ class IntensitySeries:
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2 or self.values.shape[1] != len(self.regions):
-            raise ValueError("values must be (n_frames, n_regions)")
+            raise ConfigError("values must be (n_frames, n_regions)")
         if self.frames.shape != (self.values.shape[0],):
-            raise ValueError("frames must have one entry per values row")
+            raise ConfigError("frames must have one entry per values row")
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.regions:
-            raise UnknownRegion(f"no region named {name!r} in series")
+            raise ConfigError(f"no region named {name!r} in series")
         return self.values[:, self.regions.index(name)]
 
 
@@ -105,7 +105,7 @@ def region_mean_magnitude(flow: FlowField, mask: np.ndarray) -> tuple[float, int
     The mean is in pixels; (0.0, 0) when no pixel qualifies.
     """
     if mask.shape != flow.u.shape:
-        raise DimensionMismatch(
+        raise DataError(
             f"mask is {mask.shape[1]}x{mask.shape[0]}, flow is {flow.u.shape[1]}x{flow.u.shape[0]}"
         )
     selected = mask & flow.valid
@@ -130,11 +130,11 @@ def intensity_series(
     t-1 with frame t.
     """
     if len(seq) < 2:
-        raise EmptySequence(f"need at least 2 frames for flow, got {len(seq)}")
+        raise DataError(f"need at least 2 frames for flow, got {len(seq)}")
     if mode not in ("reference", "consecutive"):
-        raise ValueError(f"mode must be 'reference' or 'consecutive', got {mode!r}")
+        raise ConfigError(f"mode must be 'reference' or 'consecutive', got {mode!r}")
     if (grid.width, grid.height) != (seq.width, seq.height):
-        raise DimensionMismatch(
+        raise DataError(
             f"grid is {grid.width}x{grid.height}, frames are {seq.width}x{seq.height}"
         )
 

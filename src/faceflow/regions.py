@@ -14,14 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import (
-    CellOutOfGrid,
-    DegenerateGrid,
-    OutOfBounds,
-    OverlappingCells,
-    ParseError,
-    UnknownRegion,
-)
+from .errors import ConfigError
 
 __all__ = [
     "GridSpec",
@@ -49,9 +42,9 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
-            raise DegenerateGrid(f"grid needs at least 1 row and column, got {self.rows}x{self.cols}")
+            raise ConfigError(f"grid needs at least 1 row and column, got {self.rows}x{self.cols}")
         if self.width < self.cols or self.height < self.rows:
-            raise DegenerateGrid(
+            raise ConfigError(
                 f"{self.width}x{self.height} frame cannot hold a "
                 f"{self.rows}x{self.cols} grid of non-empty cells"
             )
@@ -82,7 +75,7 @@ class RegionMap:
         for name, cells in self.regions.items():
             for cell in cells:
                 if cell in claimed:
-                    raise OverlappingCells(
+                    raise ConfigError(
                         f"cell r{cell[0]}c{cell[1]} belongs to both "
                         f"{claimed[cell]!r} and {name!r}"
                     )
@@ -96,7 +89,7 @@ class RegionMap:
 
     def __getitem__(self, name: str) -> frozenset[tuple[int, int]]:
         if name not in self.regions:
-            raise UnknownRegion(f"no region named {name!r}")
+            raise ConfigError(f"no region named {name!r}")
         return self.regions[name]
 
 
@@ -108,7 +101,7 @@ def make_grid(width: int, height: int, rows: int = GridSpec.rows, cols: int = Gr
 def cell_of_pixel(grid: GridSpec, x: int, y: int) -> tuple[int, int]:
     """Return the (row, col) of the unique cell containing pixel (x, y)."""
     if not (0 <= x < grid.width and 0 <= y < grid.height):
-        raise OutOfBounds(f"pixel ({x}, {y}) outside {grid.width}x{grid.height} frame")
+        raise ConfigError(f"pixel ({x}, {y}) outside {grid.width}x{grid.height} frame")
     col = min(x // (grid.width // grid.cols), grid.cols - 1)
     row = min(y // (grid.height // grid.rows), grid.rows - 1)
     return row, col
@@ -120,7 +113,7 @@ def region_mask(grid: GridSpec, region_map: RegionMap, name: str) -> np.ndarray:
     mask = np.zeros((grid.height, grid.width), dtype=bool)
     for row, col in cells:
         if not (0 <= row < grid.rows and 0 <= col < grid.cols):
-            raise CellOutOfGrid(
+            raise ConfigError(
                 f"region {name!r} cell r{row}c{col} outside {grid.rows}x{grid.cols} grid"
             )
         y0, y1 = grid.row_bounds(row)
@@ -142,19 +135,22 @@ def parse_region_map(text: str, rows: int = GridSpec.rows, cols: int = GridSpec.
             continue
         match = _LINE_RE.match(line)
         if match is None:
-            raise ParseError(f"line {lineno}: expected 'region <name> = r<row>c<col>, ...'")
+            raise ConfigError(f"line {lineno}: expected 'region <name> = r<row>c<col>, ...'")
         name, cell_text = match.group(1), match.group(2)
         if name in regions:
-            raise ParseError(f"line {lineno}: duplicate region {name!r}")
+            raise ConfigError(f"line {lineno}: duplicate region {name!r}")
         cells = set()
         for token in cell_text.split(","):
             token = token.strip()
             cell_match = _CELL_RE.match(token)
             if cell_match is None:
-                raise ParseError(f"line {lineno}: bad cell {token!r}, expected r<row>c<col>")
-            row, col = int(cell_match.group(1)), int(cell_match.group(2))
+                raise ConfigError(f"line {lineno}: bad cell {token!r}, expected r<row>c<col>")
+            try:
+                row, col = int(cell_match.group(1)), int(cell_match.group(2))
+            except ValueError:  # more digits than the interpreter's int() limit
+                raise ConfigError(f"line {lineno}: cell number too long") from None
             if row >= rows or col >= cols:
-                raise CellOutOfGrid(
+                raise ConfigError(
                     f"line {lineno}: cell r{row}c{col} outside {rows}x{cols} grid"
                 )
             cells.add((row, col))

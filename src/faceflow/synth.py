@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeTooLarge, DimensionMismatch, ExcessiveShift, TooSmall, UnknownRegion
+from .errors import ConfigError, DataError
 from .flow import sample_bilinear
 from .imageio import FrameSequence, Image
 from .regions import GridSpec, RegionMap, region_mask
@@ -28,6 +28,12 @@ __all__ = [
 ]
 
 _FEATHER_PX = 4.0
+
+
+def _check_size(width: int, height: int, n: int) -> None:
+    """2**40 pixels is far above any memory and far below what numpy can address."""
+    if width * height * n > 2**40:
+        raise ConfigError(f"{n} frame(s) of {width}x{height} exceed 2**40 pixels")
 
 
 @dataclass(frozen=True)
@@ -46,16 +52,18 @@ class RegionMotion:
 
     def __post_init__(self) -> None:
         if not 0 <= self.onset <= self.apex <= self.offset:
-            raise ValueError(
+            raise ConfigError(
                 f"need 0 <= onset <= apex <= offset, got "
                 f"{self.onset}/{self.apex}/{self.offset}"
             )
         if not math.isfinite(self.amplitude) or self.amplitude < 0:
-            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+            raise ConfigError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         if self.amplitude > 0 and self.apex == self.offset:  # the ramp would never reach it
-            raise ValueError(
+            raise ConfigError(
                 f"apex must come before offset when amplitude > 0, got {self.apex}/{self.offset}"
             )
+        if self.amplitude > 0 and self.apex == 0:  # frame 0 is the undisplaced reference
+            raise ConfigError("apex must come after frame 0 when amplitude > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +111,10 @@ def make_texture(width: int, height: int, seed: int) -> Image:
     flow window sees. Identical seeds give bit-identical images.
     """
     if width < 16 or height < 16:
-        raise TooSmall(f"texture needs dimensions >= 16, got {width}x{height}")
+        raise ConfigError(f"texture needs dimensions >= 16, got {width}x{height}")
+    _check_size(width, height, 1)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     ys, xs = np.indices((height, width), dtype=np.float64)
     tex = np.zeros((height, width), dtype=np.float64)
@@ -132,10 +143,11 @@ def translate_sequence(
     cumulative shift.
     """
     if n < 2:
-        raise ValueError(f"need at least 2 frames, got {n}")
+        raise ConfigError(f"need at least 2 frames, got {n}")
+    _check_size(base.width, base.height, n)
     limit = min(base.width, base.height) / 4.0
     if not (abs(dx) * n < limit and abs(dy) * n < limit):  # a nan shift fails too
-        raise ExcessiveShift(
+        raise ConfigError(
             f"cumulative shift ({abs(dx) * n:g}, {abs(dy) * n:g}) px must stay "
             f"under min dimension / 4 = {limit:g} px"
         )
@@ -168,9 +180,10 @@ def synth_expression(
     ground truth is exactly zero there and those frame pixels equal frame 0.
     """
     if n < 2:
-        raise ValueError(f"need at least 2 frames, got {n}")
+        raise ConfigError(f"need at least 2 frames, got {n}")
+    _check_size(width, height, n)
     if (grid.width, grid.height) != (width, height):
-        raise DimensionMismatch(
+        raise DataError(
             f"grid is {grid.width}x{grid.height}, requested frames are {width}x{height}"
         )
     cell_min = min(grid.width // grid.cols, grid.height // grid.rows)
@@ -181,15 +194,15 @@ def synth_expression(
 
     for motion in motions:
         if motion.region not in region_map:
-            raise UnknownRegion(f"no region named {motion.region!r}")
+            raise ConfigError(f"no region named {motion.region!r}")
         if motion.region in weights:
-            raise ValueError(f"region {motion.region!r} given twice")
+            raise ConfigError(f"region {motion.region!r} given twice")
         if motion.offset > n - 1:
-            raise ValueError(
+            raise ConfigError(
                 f"offset frame {motion.offset} beyond last frame {n - 1}"
             )
         if motion.amplitude >= limit:
-            raise AmplitudeTooLarge(
+            raise ConfigError(
                 f"amplitude {motion.amplitude:g} px must stay under "
                 f"cell size / 4 = {limit:g} px"
             )

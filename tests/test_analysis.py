@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from faceflow import (
     AnalysisParams,
-    EmptySeries,
-    EvenWindow,
+    ConfigError,
+    DataError,
     IntensitySeries,
-    InvalidThreshold,
     RegionEvents,
     build_report,
     detect_events,
@@ -95,11 +94,11 @@ class TestSmoothSeries:
         assert out[2] == pytest.approx(value / 3 * 2, rel=1e-15)
 
     def test_even_window_rejected(self):
-        with pytest.raises(EvenWindow):
+        with pytest.raises(ConfigError, match="smoothing window must be odd"):
             smooth_series([1.0, 2.0], 4)
 
     def test_zero_window_rejected(self):
-        with pytest.raises(EvenWindow):
+        with pytest.raises(ConfigError, match="smoothing window must be odd"):
             smooth_series([1.0], 0)
 
     @given(
@@ -150,16 +149,16 @@ class TestDetectEvents:
         assert events.offset == 4
 
     def test_empty_series_rejected(self):
-        with pytest.raises(EmptySeries):
+        with pytest.raises(DataError, match="empty series"):
             detect_events(np.array([]))
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, -0.1, 1.5])
     def test_bad_theta_rejected(self, theta):
-        with pytest.raises(InvalidThreshold):
+        with pytest.raises(ConfigError, match="theta must be in"):
             detect_events(np.ones(5), theta=theta)
 
     def test_bad_run_length_rejected(self):
-        with pytest.raises(InvalidThreshold):
+        with pytest.raises(ConfigError, match="run_length must be"):
             detect_events(np.ones(5), run_length=0)
 
     @given(
@@ -272,12 +271,12 @@ class TestRankRegions:
         series = IntensitySeries(
             regions=(), frames=np.array([], dtype=np.int64), values=np.zeros((0, 0))
         )
-        with pytest.raises(EmptySeries):
+        with pytest.raises(DataError, match="no regions or no rows"):
             rank_regions(series)
 
     def test_bad_rho_rejected(self):
         series = make_series({"a": [1.0, 2.0, 1.0]})
-        with pytest.raises(InvalidThreshold):
+        with pytest.raises(ConfigError, match="rho must be in"):
             rank_regions(series, rho=0.0)
 
 
@@ -317,7 +316,9 @@ class TestAnalysisParams:
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises((InvalidThreshold, EvenWindow)):
+        field = next(iter(kwargs))
+        message = "smoothing window must be odd" if field == "smooth_window" else f"{field} must be"
+        with pytest.raises(ConfigError, match=message):
             AnalysisParams(**kwargs)
 
     def test_defaults(self):

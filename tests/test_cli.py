@@ -21,17 +21,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import faceflow.cli
-import faceflow.errors
 import faceflow.intensity
 from faceflow import (
     AnalysisParams,
     ConfigError,
     DataError,
-    DimensionMismatch,
     FlowParams,
     GridSpec,
     IntensitySeries,
-    SeriesFormatError,
     build_report,
     default_region_map,
     intensity_series,
@@ -129,6 +126,35 @@ class TestSynth:
         assert "--active" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--width", str(10**11), "--height", str(10**11)],
+        ["--width", str(10**20)],
+        ["--count", str(10**20)],
+        ["--count", str(10**20), "--active", "mouth:1:1:2:3"],
+        ["--width", str(10**20), "--active", "mouth:1:1:2:3"],
+    ], ids=["area", "width", "count", "count-active", "width-active"])
+    def test_unaddressable_size_is_config_error(self, tmp_path, args):
+        out = tmp_path / "frames"
+        code, err = _run_main(["synth", "--out", str(out), *args])
+        assert code == EXIT_CONFIG_ERROR
+        assert re.fullmatch(r"error: \d+ frame\(s\) of \d+x\d+ exceed 2\*\*40 pixels\n", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--active", "mouth:1:1:2:3"]], ids=["shift", "active"])
+    def test_negative_seed_is_config_error(self, tmp_path, mode):
+        out = tmp_path / "frames"
+        code, err = _run_main(["synth", "--out", str(out), "--count", "5", "--seed=-1", *mode])
+        assert (code, err) == (EXIT_CONFIG_ERROR, "error: seed must be >= 0, got -1\n")
+        assert not out.exists()
+
+    def test_apex_at_frame_zero_is_config_error(self, tmp_path, capsys):
+        # Frame 0 is the undisplaced reference; ground_truth.csv would claim it moved.
+        out = tmp_path / "frames"
+        code = main(["synth", "--out", str(out), "--count", "6", "--active", "mouth:1:0:0:5"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "--active 'mouth:1:0:0:5': apex must come after frame 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--dx", "--dy"])
     def test_shift_with_active_rejected(self, tmp_path, capsys, flag):
         out = tmp_path / "frames"
@@ -198,7 +224,7 @@ class TestSeries:
         header = (tmp_path / "series.csv").read_text().splitlines()[0]
         assert header == "frame,top,bottom"
 
-    @pytest.mark.parametrize("pattern", ["", "/abs/*.pgm"])
+    @pytest.mark.parametrize("pattern", ["", "/abs/*.pgm", ".", "**/x**"])
     def test_unusable_pattern_is_config_error(self, mouth_run, tmp_path, capsys, pattern):
         code = main(["series", "--frames", str(mouth_run / "frames"), f"--pattern={pattern}",
                      "--out", str(tmp_path)])
@@ -228,6 +254,16 @@ class TestSeries:
         (frames / "frame_1.pgm").write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n" + bytes(4))
         assert main(["series", "--frames", str(frames), "--out", str(tmp_path)]) == EXIT_DATA_ERROR
         assert "frame_1.pgm" in capsys.readouterr().err
+        assert not (tmp_path / "series.csv").exists()
+
+    @pytest.mark.parametrize("cell", [f"r{'1' * 5000}c0", f"r0c{'1' * 5000}"], ids=["row", "col"])
+    def test_region_cell_over_int_digit_limit_is_config_error(self, mouth_run, tmp_path, capsys,
+                                                              cell):
+        layout = tmp_path / "big.regions"
+        layout.write_text(f"region a = {cell}\n")
+        code, err = _run_main(["series", "--frames", str(mouth_run / "frames"),
+                               "--regions", str(layout), "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_CONFIG_ERROR, "error: line 1: cell number too long\n")
         assert not (tmp_path / "series.csv").exists()
 
     def test_missing_frames_dir_is_data_error(self, tmp_path, capsys):
@@ -301,7 +337,7 @@ class TestSeries:
         def failing_solve(i1, i2, params):
             calls.append(threading.current_thread() is threading.main_thread())
             if len(calls) == 5:
-                raise DimensionMismatch("frame pair 5 failed")
+                raise DataError("frame pair 5 failed")
             return solve(i1, i2, params)
 
         monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: 2)
@@ -477,6 +513,15 @@ class TestPlot:
         assert main(["plot", "--series", str(missing), "--out", str(tmp_path)]) == EXIT_DATA_ERROR
 
 
+@pytest.mark.parametrize("command, written", [("analyze", "report.json"), ("plot", "plot.svg")])
+def test_undecodable_csv_is_data_error(tmp_path, capsys, command, written):
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes(b"frame,a\n1,0.5\n2,\xff\n")
+    assert main([command, "--series", str(csv), "--out", str(tmp_path)]) == EXIT_DATA_ERROR
+    assert f"error: series file {csv}: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert not (tmp_path / written).exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "plot"])
 class TestFrameNumberRange:
     @pytest.mark.parametrize("frame", ["99999999999999999999", "9223372036854775808",
@@ -541,6 +586,16 @@ class TestConfigFile:
         )
         assert "nope.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["frames", "pattern", "regions", "series", "out"])
+    def test_nul_byte_in_value_rejected(self, tmp_path, capsys, key):
+        # Argv cannot carry a NUL byte; a config file can.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# paths\n{key} = a\0b\n")
+        command = "analyze" if key == "series" else "series"
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"error: config file {cfg} line 2: contains a NUL byte\n"
+        assert not (tmp_path / "series.csv").exists() and not (tmp_path / "report.json").exists()
+
     def test_repeatable_option_semicolon_separated(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("active = mouth:1.0:2:5:8; cheeks:0.5:3:6:9\ncount = 12\n")
@@ -573,11 +628,11 @@ class TestSeriesCsvHelpers:
         assert "3.33333333e-01" in format_series_csv(series)
 
     def test_header_rejected_without_frame_column(self):
-        with pytest.raises(Exception, match="line 1"):
+        with pytest.raises(DataError, match="line 1: expected header"):
             parse_series_csv("time,a\n1,0.5\n")
 
     def test_negative_magnitude_rejected(self):
-        with pytest.raises(Exception, match="line 2"):
+        with pytest.raises(DataError, match="line 2: magnitudes must be finite and >= 0"):
             parse_series_csv("frame,a\n1,-0.5\n")
 
     def test_report_dict_key_order(self):
@@ -603,7 +658,7 @@ class TestSeriesCsvHelpers:
         assert legend == ["a<b&c", "mouth"]
 
     def test_unprintable_region_name_rejected(self):
-        with pytest.raises(SeriesFormatError, match="line 1"):
+        with pytest.raises(DataError, match="line 1: region names must be printable"):
             parse_series_csv("frame,mo\x01uth\n1,0.5\n")
 
 
@@ -682,7 +737,8 @@ class TestSeriesFuzz:
         levels=_mostly(st.integers(1, 2), st.sampled_from([-1, 0, 3, 4, 10**12])),
         mode=_mostly(st.sampled_from(["reference", "consecutive"]), st.just("sideways")),
         pattern=st.one_of(st.just("*.pgm"),
-                          st.sampled_from(["", "/abs/*.pgm", "**", "*", "frame_000[12].pgm"])),
+                          st.sampled_from(["", "/abs/*.pgm", "**", "*", "frame_000[12].pgm", ".",
+                                           "**/x**"])),
     )
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -854,11 +910,24 @@ class TestEmptyRegionMap:
 
 
 class TestErrorCategories:
-    def test_every_error_is_data_or_config(self):
-        bases = {"FaceflowError", "DataError", "ConfigError"}
-        for name in set(faceflow.errors.__all__) - bases:
-            cls = getattr(faceflow.errors, name)
-            assert issubclass(cls, DataError) != issubclass(cls, ConfigError), name
+    def test_every_error_is_data_or_config(self, mouth_run, tmp_path, monkeypatch):
+        # main maps the exception type to the exit code; the two categories are disjoint.
+        assert not issubclass(DataError, ConfigError) and not issubclass(ConfigError, DataError)
+        argv = ["plot", "--series", str(mouth_run / "series.csv"), "--out", str(tmp_path)]
+        for error, code in ((DataError, EXIT_DATA_ERROR), (ConfigError, EXIT_CONFIG_ERROR),
+                            (FileNotFoundError, EXIT_DATA_ERROR)):
+            def fail(text, error=error):
+                raise error("planted")
+            monkeypatch.setattr(faceflow.cli, "parse_series_csv", fail)
+            assert _run_main(argv) == (code, "error: planted\n"), error
+
+    def test_stray_value_error_is_not_a_config_error(self, mouth_run, tmp_path, monkeypatch):
+        # A ValueError no check raised on purpose is a fault, not a user's bad option.
+        def fail(text):
+            raise ValueError("planted")
+        monkeypatch.setattr(faceflow.cli, "parse_series_csv", fail)
+        with pytest.raises(ValueError, match="planted"):
+            main(["plot", "--series", str(mouth_run / "series.csv"), "--out", str(tmp_path)])
 
 
 def _run_fresh(script: str) -> subprocess.CompletedProcess:

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from faceflow import (
-    DimensionMismatch,
+    ConfigError,
+    DataError,
     FlowParams,
     Image,
-    PyramidTooDeep,
     gaussian_smooth,
     lucas_kanade,
     make_texture,
@@ -64,7 +64,7 @@ class TestGaussianSmooth:
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="sigma must be >= 0"):
             gaussian_smooth(Image(np.zeros((3, 3))), -1.0)
 
     @pytest.mark.parametrize("sigma", [5e-324, 1e-200, 1e-163, 1e-160, 1e-155, 1e-3])
@@ -122,7 +122,7 @@ class TestGradients:
         assert np.allclose(g_ab.it, -g_ba.it)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="frames are 4x4 and 4x5"):
             spatiotemporal_gradients(Image(np.zeros((4, 4))), Image(np.zeros((5, 4))))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (5, 2)])
@@ -306,7 +306,7 @@ class TestPyramidalLk:
 
     def test_too_many_levels_rejected(self):
         img = Image(np.zeros((16, 16)))
-        with pytest.raises(PyramidTooDeep):
+        with pytest.raises(ConfigError, match=r"level\(s\) with window radius"):
             pyramidal_lk(img, img, FlowParams(pyramid_levels=5))
 
     def test_depth_limit_boundary(self):
@@ -314,16 +314,16 @@ class TestPyramidalLk:
         # radius 7 a 120-pixel side gives exactly 2^3 * 15 = 120 for 4 levels.
         img = Image(np.random.default_rng(0).random((120, 120)))
         pyramidal_lk(img, img, FlowParams(pyramid_levels=4))
-        with pytest.raises(PyramidTooDeep):
+        with pytest.raises(ConfigError, match=r"level\(s\) with window radius"):
             pyramidal_lk(img, img, FlowParams(pyramid_levels=5))
 
     @pytest.mark.parametrize("solve", [lucas_kanade, pyramidal_lk])
     def test_single_level_window_must_fit(self, solve):
         img = Image(np.zeros((120, 160)))
         solve(img, img, FlowParams(window_radius=59))  # 119-pixel window fits
-        with pytest.raises(PyramidTooDeep):
+        with pytest.raises(ConfigError, match=r"level\(s\) with window radius"):
             solve(img, img, FlowParams(window_radius=60))
-        with pytest.raises(PyramidTooDeep):
+        with pytest.raises(ConfigError, match=r"level\(s\) with window radius"):
             solve(img, img, FlowParams(window_radius=100000))
 
     @pytest.mark.parametrize("solve", [lucas_kanade, pyramidal_lk])
@@ -331,12 +331,12 @@ class TestPyramidalLk:
         img = Image(np.zeros((30, 40)))
         solve(img, img, FlowParams(smooth_sigma=10.0))  # radius 30 fits
         for sigma in (10.001, 1e7, 1e308):
-            with pytest.raises(PyramidTooDeep):
+            with pytest.raises(ConfigError, match="smoothing sigma"):
                 solve(img, img, FlowParams(smooth_sigma=sigma))
 
     def test_huge_level_count_rejected(self):
         img = Image(np.zeros((16, 16)))
-        with pytest.raises(PyramidTooDeep):
+        with pytest.raises(ConfigError, match=r"level\(s\) with window radius"):
             pyramidal_lk(img, img, FlowParams(pyramid_levels=10**12))
 
     @pytest.mark.parametrize("sigma", [0.0, 0.7, 1.0, 2.5])
@@ -381,5 +381,5 @@ class TestFlowParams:
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=f"{next(iter(kwargs))} must be"):
             FlowParams(**kwargs)

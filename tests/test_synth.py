@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from faceflow import (
-    AmplitudeTooLarge,
-    DimensionMismatch,
-    ExcessiveShift,
+    ConfigError,
+    DataError,
     RegionMotion,
-    TooSmall,
-    UnknownRegion,
     default_region_map,
     make_grid,
     make_texture,
@@ -43,8 +40,18 @@ class TestMakeTexture:
 
     @pytest.mark.parametrize("width,height", [(15, 20), (20, 15), (1, 1)])
     def test_too_small_rejected(self, width, height):
-        with pytest.raises(TooSmall):
+        with pytest.raises(ConfigError, match="texture needs dimensions >= 16"):
             make_texture(width, height, seed=0)
+
+    @pytest.mark.parametrize("width,height", [(10**11, 10**11), (10**20, 16), (16, 10**20)])
+    def test_unaddressable_size_rejected(self, width, height):
+        # Checked before numpy is asked for the raster, which it could not address.
+        with pytest.raises(ConfigError, match=rf"1 frame\(s\) of {width}x{height} exceed"):
+            make_texture(width, height, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            make_texture(16, 16, seed=-1)
 
 
 class TestTranslateSequence:
@@ -84,12 +91,12 @@ class TestTranslateSequence:
 
     def test_cumulative_shift_capped(self):
         base = make_texture(32, 32, seed=0)
-        with pytest.raises(ExcessiveShift):
+        with pytest.raises(ConfigError, match=r"cumulative shift \(8, 0\) px must stay under"):
             translate_sequence(base, 1.0, 0.0, 8)  # 8 px >= 32/4
 
     def test_vertical_shift_capped(self):
         base = make_texture(64, 32, seed=0)
-        with pytest.raises(ExcessiveShift):
+        with pytest.raises(ConfigError, match=r"cumulative shift \(0, 8\) px must stay under"):
             translate_sequence(base, 0.0, -2.0, 4)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -97,13 +104,18 @@ class TestTranslateSequence:
     def test_non_finite_shift_rejected(self, axis, value):
         base = make_texture(32, 32, seed=0)
         shift = {"dx": 0.0, "dy": 0.0, axis: value}
-        with pytest.raises(ExcessiveShift):
+        with pytest.raises(ConfigError, match="cumulative shift .* must stay under"):
             translate_sequence(base, shift["dx"], shift["dy"], 4)
 
     def test_too_few_frames(self):
         base = make_texture(32, 32, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="need at least 2 frames, got 1"):
             translate_sequence(base, 0.1, 0.0, 1)
+
+    def test_unaddressable_frame_count_rejected(self):
+        base = make_texture(32, 32, seed=0)
+        with pytest.raises(ConfigError, match=rf"{10**20} frame\(s\) of 32x32 exceed"):
+            translate_sequence(base, 0.0, 0.0, 10**20)
 
 
 class TestSynthExpression:
@@ -170,11 +182,11 @@ class TestSynthExpression:
 
     def test_amplitude_capped_by_cell_size(self):
         # 160x120 on a 6x4 grid: cells are 40x20, so the cap is 5 px.
-        with pytest.raises(AmplitudeTooLarge):
+        with pytest.raises(ConfigError, match="amplitude 5 px must stay under cell size / 4 = 5 px"):
             self.synth((RegionMotion("mouth", 5.0, onset=1, apex=5, offset=9),))
 
     def test_unknown_region(self):
-        with pytest.raises(UnknownRegion):
+        with pytest.raises(ConfigError, match="no region named 'nose'"):
             self.synth((RegionMotion("nose", 1.0, onset=1, apex=5, offset=9),))
 
     def test_duplicate_region(self):
@@ -182,36 +194,54 @@ class TestSynthExpression:
             RegionMotion("mouth", 1.0, onset=1, apex=5, offset=9),
             RegionMotion("mouth", 2.0, onset=2, apex=6, offset=10),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="region 'mouth' given twice"):
             self.synth(motions)
 
     def test_offset_beyond_sequence(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="offset frame 12 beyond last frame 11"):
             self.synth((RegionMotion("mouth", 1.0, onset=1, apex=5, offset=12),), n=12)
+
+    @pytest.mark.parametrize("width, n", [(10**20, 12), (160, 10**20)])
+    def test_unaddressable_size_rejected(self, width, n):
+        grid = make_grid(width, 120, 6, 4)
+        motion = RegionMotion("mouth", 1.0, onset=1, apex=5, offset=9)
+        with pytest.raises(ConfigError, match=rf"{n} frame\(s\) of {width}x120 exceed"):
+            synth_expression(width, 120, grid, self.rmap, (motion,), n, seed=0)
 
     def test_grid_mismatch(self):
         grid = make_grid(80, 60, 6, 4)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="grid is 80x60, requested frames are 160x120"):
             synth_expression(160, 120, grid, self.rmap, (), 5, seed=0)
 
 
 class TestRegionMotion:
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="need 0 <= onset <= apex <= offset, got 5/3/9"):
             RegionMotion("mouth", 1.0, onset=5, apex=3, offset=9)
 
     def test_negative_onset_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="need 0 <= onset <= apex <= offset, got -1/3/9"):
             RegionMotion("mouth", 1.0, onset=-1, apex=3, offset=9)
 
     def test_negative_amplitude_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="amplitude must be finite and >= 0, got -1.0"):
             RegionMotion("mouth", -1.0, onset=1, apex=3, offset=9)
 
     def test_apex_at_offset_rejected(self):
         # The ramp would drop to zero at the apex frame and never reach the amplitude.
-        with pytest.raises(ValueError, match="apex"):
+        with pytest.raises(ConfigError, match="apex must come before offset"):
             RegionMotion("mouth", 2.0, onset=3, apex=10, offset=10)
+
+    def test_apex_at_frame_zero_rejected(self):
+        # Frame 0 is the undisplaced reference, so it cannot carry the amplitude.
+        with pytest.raises(ConfigError, match="apex must come after frame 0"):
+            RegionMotion("mouth", 1.0, onset=0, apex=0, offset=5)
+
+    def test_still_motion_at_frame_zero_allowed(self):
+        grid = make_grid(160, 120)
+        motion = RegionMotion("mouth", 0.0, onset=0, apex=0, offset=5)
+        _, truth = synth_expression(160, 120, grid, default_region_map(), (motion,), 6, seed=0)
+        assert not truth.profiles["mouth"].any()
 
     def test_apex_at_onset_reaches_amplitude(self):
         grid = make_grid(160, 120)
