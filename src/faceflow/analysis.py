@@ -11,7 +11,7 @@ the analysis is invariant to rescaling the series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "AnalysisParams",
     "RegionEvents",
     "ExpressionReport",
-    "smooth_series",
     "detect_events",
     "rank_regions",
     "build_report",
@@ -78,13 +77,9 @@ class ExpressionReport:
     params: AnalysisParams
 
 
-def smooth_series(values, window: int) -> np.ndarray:
-    """Centered moving average with the window clipped at the sequence ends."""
-    AnalysisParams(smooth_window=window)  # validates the window
-    data = np.asarray(values, dtype=np.float64)
-    if data.ndim != 1:
-        raise ConfigError("smooth_series expects a 1-D sequence")
-    if window == 1 or data.size == 0:
+def _smooth(data: np.ndarray, window: int) -> np.ndarray:
+    """Centered moving average of a non-empty 1-D array, the window clipped at the ends."""
+    if window == 1:
         return data.copy()
     n = data.size
     half = min(window // 2, n)  # a window as wide as the series averages all of it
@@ -107,13 +102,8 @@ def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[0::2], edges[1::2]))
 
 
-def detect_events(
-    values,
-    theta: float = AnalysisParams.theta,
-    run_length: int = AnalysisParams.run_length,
-    smooth_window: int = AnalysisParams.smooth_window,
-) -> RegionEvents:
-    """Find onset/apex/offset indices on the smoothed series.
+def detect_events(values, params: AnalysisParams = AnalysisParams()) -> RegionEvents:
+    """Find onset/apex/offset indices on the series smoothed over params.smooth_window.
 
     With peak P of the smoothed series: apex is the first argmax; onset is the
     start of the first run of >= run_length consecutive values above theta*P
@@ -121,26 +111,27 @@ def detect_events(
     [apex, end]. A zero-peak series has no events. Indices are positions in
     `values`; callers tracking frame numbers relabel them.
     """
-    AnalysisParams(theta=theta, run_length=run_length)  # validates; smooth_series the window
-    smoothed = smooth_series(values, smooth_window)
-    if smoothed.size == 0:
-        raise DataError("cannot detect events on an empty series")
+    data = np.asarray(values, dtype=np.float64)
+    if data.ndim != 1 or data.size == 0:
+        raise DataError(f"cannot detect events on an empty series or one that is not 1-D, "
+                        f"got shape {data.shape}")
+    smoothed = _smooth(data, params.smooth_window)
 
     peak = float(smoothed.max())
     if peak <= 0:
         return RegionEvents(onset=None, apex=None, offset=None, peak_value=0.0)
     apex = int(np.argmax(smoothed))
-    above = smoothed > theta * peak
+    above = smoothed > params.theta * peak
 
     onset = None
     for start, stop in _true_runs(above[: apex + 1]):
-        if stop - start >= run_length:
+        if stop - start >= params.run_length:
             onset = int(start)
             break
 
     offset = None
     for start, stop in _true_runs(above[apex:]):
-        if stop - start >= run_length:
+        if stop - start >= params.run_length:
             offset = apex + int(stop) - 1
 
     return RegionEvents(onset=onset, apex=apex, offset=offset, peak_value=peak)
@@ -168,34 +159,28 @@ def build_report(series: IntensitySeries, params: AnalysisParams = AnalysisParam
         raise DataError("series has no regions or no rows")
 
     per_region: dict[str, RegionEvents] = {}
-    peaks: dict[str, float] = {}
     for name in series.regions:
-        events = detect_events(
-            series.column(name),
-            theta=params.theta,
-            run_length=params.run_length,
-            smooth_window=params.smooth_window,
-        )
-        per_region[name] = RegionEvents(
+        events = detect_events(series.column(name), params)
+        per_region[name] = replace(
+            events,
             onset=_relabel(events.onset, series.frames),
             apex=_relabel(events.apex, series.frames),
             offset=_relabel(events.offset, series.frames),
-            peak_value=events.peak_value,
         )
-        peaks[name] = events.peak_value
 
     order = sorted(
         series.regions,
-        key=lambda name: (-peaks[name], _tie_break(name, series.regions)),
+        key=lambda name: (-per_region[name].peak_value, _tie_break(name, series.regions)),
     )
-    top = order[0]
-    if peaks[top] <= 0:
+    top = per_region[order[0]].peak_value
+    if top <= 0:
         dominant = None
         deformed: tuple[str, ...] = ()
     else:
-        dominant = top
+        dominant = order[0]
         deformed = tuple(
-            name for name in order if peaks[name] > 0 and peaks[name] >= params.rho * peaks[top]
+            name for name in order
+            if per_region[name].peak_value > 0 and per_region[name].peak_value >= params.rho * top
         )
 
     return ExpressionReport(

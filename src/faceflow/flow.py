@@ -113,10 +113,11 @@ def _smooth_array(pixels: np.ndarray, sigma: float) -> np.ndarray:
 def gaussian_smooth(img: Image, sigma: float) -> Image:
     """Separable Gaussian blur, kernel radius ceil(3*sigma), replicate border.
 
-    sigma = 0 returns the input unchanged.
+    sigma = 0 returns the input unchanged. sigma is checked as FlowParams'
+    smooth_sigma is, and its kernel radius must fit the image.
     """
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    FlowParams(smooth_sigma=sigma)  # finite and >= 0
+    _check_sigma_fits(sigma, img.width, img.height)
     if sigma == 0:
         return img
     return Image(_smooth_array(img.pixels, sigma))
@@ -307,11 +308,15 @@ def _check_fits(width: int, height: int, p: FlowParams) -> None:
             f"{levels} level(s) with window radius {p.window_radius} need min dimension "
             f">= 2^{levels - 1} * {side}, image is {width}x{height}"
         )
+    _check_sigma_fits(p.smooth_sigma, width, height)
+
+
+def _check_sigma_fits(sigma: float, width: int, height: int) -> None:
     # ceil(3 sigma) > min_dim exactly when 3 sigma > min_dim, and the float
     # comparison cannot overflow the way ceil(inf) does.
-    if 3.0 * p.smooth_sigma > min_dim:
+    if 3.0 * sigma > min(width, height):
         raise ConfigError(
-            f"smoothing sigma {p.smooth_sigma} needs a kernel radius ceil(3 sigma) "
+            f"smoothing sigma {sigma} needs a kernel radius ceil(3 sigma) "
             f"<= min dimension, image is {width}x{height}"
         )
 

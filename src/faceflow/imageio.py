@@ -23,7 +23,8 @@ __all__ = [
     "load_sequence",
 ]
 
-_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+# One header token after any whitespace and '#' comments; empty at the end of the data.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,21 +90,13 @@ def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, byte
     end of line; exactly one whitespace byte separates maxval from the payload.
     """
     tokens: list[bytes] = []
-    i, n = 0, len(data)
+    i = 0
     while len(tokens) < 4:
-        if i >= n:
+        match = _HEADER_TOKEN.match(data, i)
+        if not match[1]:
             raise DataError("header ended before width, height, and maxval")
-        byte = data[i]
-        if byte in _WHITESPACE:
-            i += 1
-        elif byte == 0x23:  # '#'
-            while i < n and data[i] not in (0x0A, 0x0D):
-                i += 1
-        else:
-            start = i
-            while i < n and data[i] not in _WHITESPACE and data[i] != 0x23:
-                i += 1
-            tokens.append(data[start:i])
+        tokens.append(match[1])
+        i = match.end()
 
     if tokens[0] != magic:
         raise DataError(f"expected magic {magic.decode()}, got {tokens[0]!r}")
@@ -120,7 +113,7 @@ def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, byte
         raise DataError(f"maxval {maxval} exceeds 255")
     if maxval < 1:
         raise DataError(f"invalid maxval {maxval}")
-    if i >= n or data[i] not in _WHITESPACE:
+    if not data[i : i + 1].isspace():
         raise DataError("missing whitespace byte after maxval")
     return width, height, maxval, data[i + 1 :]
 
@@ -164,13 +157,13 @@ def encode_pgm(image: Image) -> bytes:
 
 
 def _natural_key(name: str) -> tuple:
-    """Sort key ordering embedded integers numerically: frame2 < frame10."""
+    """Sort key ordering embedded integers numerically: frame2 < frame10.
+
+    re.split puts the digit runs at the odd positions. Names that differ only
+    in how a number is written, such as frame1 and frame01, sort by their text.
+    """
     parts = re.split(r"(\d+)", name)
-    return tuple(
-        (0, int(part), "") if part.isdigit() else (1, 0, part)
-        for part in parts
-        if part
-    )
+    return [int(part) if i % 2 else part for i, part in enumerate(parts)], name
 
 
 def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequence:

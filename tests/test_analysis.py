@@ -15,18 +15,18 @@ from faceflow import (
     build_report,
     detect_events,
     rank_regions,
-    smooth_series,
 )
+from faceflow.analysis import _smooth
 
 
 def brute_force_events(values, theta=0.1, run_length=3, smooth_window=5):
     """Direct-scan reimplementation of the event logic, used as an oracle.
 
-    Smoothing reuses smooth_series (itself checked against direct averages
-    in TestSmoothSeries) so that sub-ULP rounding differences between
+    Smoothing reuses _smooth (itself checked against direct averages in
+    TestSmoothSeries) so that sub-ULP rounding differences between
     summation orders cannot flip argmax ties; the event scan is plain loops.
     """
-    smoothed = [float(v) for v in smooth_series(values, smooth_window)]
+    smoothed = [float(v) for v in _smooth(np.asarray(values, dtype=np.float64), smooth_window)]
     n = len(smoothed)
     peak = max(smoothed)
     if peak <= 0:
@@ -66,21 +66,21 @@ def make_series(columns: dict[str, list[float]], first_frame=1) -> IntensitySeri
 class TestSmoothSeries:
     def test_constant_unchanged(self):
         data = np.full(10, 0.7)
-        assert np.allclose(smooth_series(data, 5), data, atol=1e-15)
+        assert np.allclose(_smooth(data, 5), data, atol=1e-15)
 
     def test_impulse_window_three(self):
-        out = smooth_series([0.0, 0.0, 9.0, 0.0, 0.0], 3)
+        out = _smooth(np.array([0.0, 0.0, 9.0, 0.0, 0.0]), 3)
         # Ends average over the clipped two-element window.
         assert np.array_equal(out, np.array([0.0, 3.0, 3.0, 3.0, 0.0]))
 
     def test_window_one_is_copy(self):
         data = np.array([1.0, 2.0, 3.0])
-        out = smooth_series(data, 1)
+        out = _smooth(data, 1)
         assert np.array_equal(out, data)
         assert out is not data
 
     def test_edges_use_clipped_window(self):
-        out = smooth_series([6.0, 0.0, 0.0, 0.0, 6.0], 5)
+        out = _smooth(np.array([6.0, 0.0, 0.0, 0.0, 6.0]), 5)
         assert out[0] == 2.0  # mean of first three values
         assert out[2] == 2.4  # full window
         assert out[4] == 2.0
@@ -88,25 +88,17 @@ class TestSmoothSeries:
     @pytest.mark.parametrize("value", [1.7e308, np.finfo(np.float64).max])
     def test_values_near_float_limit_stay_finite(self, value):
         # A running sum of these overflows unless they are scaled down first.
-        out = smooth_series([value, value, 0.0, value, value], 3)
+        out = _smooth(np.array([value, value, 0.0, value, value]), 3)
         assert np.isfinite(out).all()
         assert out[0] == value and out[4] == value
         assert out[2] == pytest.approx(value / 3 * 2, rel=1e-15)
-
-    def test_even_window_rejected(self):
-        with pytest.raises(ConfigError, match="smoothing window must be odd"):
-            smooth_series([1.0, 2.0], 4)
-
-    def test_zero_window_rejected(self):
-        with pytest.raises(ConfigError, match="smoothing window must be odd"):
-            smooth_series([1.0], 0)
 
     @given(
         st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=60),
         st.sampled_from([1, 3, 5, 7]),
     )
     def test_matches_direct_average(self, data, window):
-        out = smooth_series(data, window)
+        out = _smooth(np.array(data), window)
         n = len(data)
         half = window // 2
         for i in range(n):
@@ -116,13 +108,14 @@ class TestSmoothSeries:
 
 class TestDetectEvents:
     def test_triangle_oracle(self):
-        events = detect_events(triangle_series(), theta=0.1, run_length=3, smooth_window=1)
+        params = AnalysisParams(theta=0.1, run_length=3, smooth_window=1)
+        events = detect_events(triangle_series(), params)
         assert (events.onset, events.apex, events.offset) == (6, 50, 94)
         assert events.peak_value == 1.0
 
     def test_triangle_matches_brute_force(self):
         values = triangle_series()
-        events = detect_events(values, theta=0.1, run_length=3, smooth_window=1)
+        events = detect_events(values, AnalysisParams(theta=0.1, run_length=3, smooth_window=1))
         assert brute_force_events(values, 0.1, 3, 1) == (
             events.onset,
             events.apex,
@@ -136,14 +129,14 @@ class TestDetectEvents:
     def test_first_argmax_wins(self):
         values = np.zeros(101)
         values[40] = values[60] = 1.0
-        events = detect_events(values, smooth_window=1, run_length=1)
+        events = detect_events(values, AnalysisParams(smooth_window=1, run_length=1))
         assert events.apex == 40
 
     def test_run_length_must_fit_before_apex(self):
         # Peak at index 1: no run of 3 above-threshold values can end by the
         # apex, so onset is undetected while offset still is.
         values = np.array([0.0, 1.0, 0.9, 0.8, 0.7, 0.0])
-        events = detect_events(values, theta=0.5, run_length=3, smooth_window=1)
+        events = detect_events(values, AnalysisParams(theta=0.5, run_length=3, smooth_window=1))
         assert events.onset is None
         assert events.apex == 1
         assert events.offset == 4
@@ -152,14 +145,19 @@ class TestDetectEvents:
         with pytest.raises(DataError, match="empty series"):
             detect_events(np.array([]))
 
+    @pytest.mark.parametrize("values", [np.ones((3, 2)), np.ones((1, 5)), 1.0])
+    def test_series_not_1d_is_data_error(self, values):
+        with pytest.raises(DataError, match="not 1-D"):
+            detect_events(values)
+
     @pytest.mark.parametrize("theta", [0.0, 1.0, -0.1, 1.5])
     def test_bad_theta_rejected(self, theta):
         with pytest.raises(ConfigError, match="theta must be in"):
-            detect_events(np.ones(5), theta=theta)
+            detect_events(np.ones(5), AnalysisParams(theta=theta))
 
     def test_bad_run_length_rejected(self):
         with pytest.raises(ConfigError, match="run_length must be"):
-            detect_events(np.ones(5), run_length=0)
+            detect_events(np.ones(5), AnalysisParams(run_length=0))
 
     @given(
         st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=80),
@@ -169,7 +167,8 @@ class TestDetectEvents:
     )
     @settings(max_examples=300)
     def test_matches_brute_force_on_random_series(self, data, theta, k, window):
-        events = detect_events(data, theta=theta, run_length=k, smooth_window=window)
+        params = AnalysisParams(theta=theta, run_length=k, smooth_window=window)
+        events = detect_events(data, params)
         assert brute_force_events(data, theta, k, window) == (
             events.onset,
             events.apex,
@@ -313,6 +312,8 @@ class TestAnalysisParams:
             {"rho": 1.1},
             {"smooth_window": 2},
             {"smooth_window": -1},
+            {"smooth_window": 4},
+            {"smooth_window": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):

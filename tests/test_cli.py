@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import faceflow.cli
 import faceflow.intensity
@@ -231,6 +231,17 @@ class TestSeries:
         assert code == EXIT_CONFIG_ERROR
         assert repr(pattern) in capsys.readouterr().err
         assert not (tmp_path / "series.csv").exists()
+
+    def test_non_ascii_digit_directory_is_read(self, mouth_run, tmp_path):
+        # str.isdigit() is true for '²', but int('²') fails.
+        nested = tmp_path / "frames" / "²"
+        nested.mkdir(parents=True)
+        for frame in (mouth_run / "frames").glob("*.pgm"):
+            (nested / frame.name).write_bytes(frame.read_bytes())
+        code = main(["series", "--frames", str(tmp_path / "frames"), "--pattern=**/*.pgm",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert (tmp_path / "series.csv").read_text() == (mouth_run / "series.csv").read_text()
 
     @pytest.mark.parametrize("header, samples", [(b"P5\n3 3\n100\n", [255] + [50] * 8),
                                                  (b"P6\n3 3\n100\n", [0, 101, 0] + [50] * 24)],
@@ -728,7 +739,19 @@ def _grid_and_region_text(draw):
     return rows, cols, text
 
 
+_LISTED_PATTERNS = ["", "/abs/*.pgm", "**", "*", "frame_000[12].pgm", ".", "**/x**"]
+
+
+def _each_listed_pattern(test):
+    """Run each listed pattern with ordinary other arguments, whatever the seed draws."""
+    for pattern in _LISTED_PATTERNS:
+        test = example(grid=(6, 4, "region a = r2c1, r2c2\n"), radius=3, sigma="1.0", levels=1,
+                       mode="reference", pattern=pattern)(test)
+    return test
+
+
 class TestSeriesFuzz:
+    @_each_listed_pattern
     @given(
         grid=_grid_and_region_text(),
         radius=_mostly(st.integers(1, 6), st.sampled_from([-1, 0, 15, 10**12])),
@@ -737,8 +760,7 @@ class TestSeriesFuzz:
         levels=_mostly(st.integers(1, 2), st.sampled_from([-1, 0, 3, 4, 10**12])),
         mode=_mostly(st.sampled_from(["reference", "consecutive"]), st.just("sideways")),
         pattern=st.one_of(st.just("*.pgm"),
-                          st.sampled_from(["", "/abs/*.pgm", "**", "*", "frame_000[12].pgm", ".",
-                                           "**/x**"])),
+                          st.sampled_from(_LISTED_PATTERNS)),
     )
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

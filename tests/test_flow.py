@@ -67,6 +67,19 @@ class TestGaussianSmooth:
         with pytest.raises(ConfigError, match="sigma must be >= 0"):
             gaussian_smooth(Image(np.zeros((3, 3))), -1.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="smooth_sigma must be finite"):
+            gaussian_smooth(Image(np.zeros((32, 32))), sigma)
+
+    @pytest.mark.parametrize("sigma", [10.7, 11.0])
+    def test_kernel_wider_than_image_rejected(self, sigma):
+        # The frame-fit rule of pyramidal_lk: 3 sigma <= min dimension.
+        img = make_texture(32, 32, seed=4)
+        with pytest.raises(ConfigError, match=r"needs a kernel radius ceil\(3 sigma\)"):
+            gaussian_smooth(img, sigma)
+        assert gaussian_smooth(img, 10.0).pixels.shape == (32, 32)
+
     @pytest.mark.parametrize("sigma", [5e-324, 1e-200, 1e-163, 1e-160, 1e-155, 1e-3])
     def test_tiny_sigma_is_an_exact_delta(self, sigma):
         # 2 sigma^2 underflows below about 1e-162; the weights stay a delta.

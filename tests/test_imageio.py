@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,17 @@ class TestLoadSequence:
         seq = load_sequence(tmp_path)
         values = [round(img.pixels[0, 0] * 255) for img in seq]
         assert values == [10, 20, 100]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_order_does_not_follow_the_listing(self, tmp_path, monkeypatch, reverse):
+        # frame1 and frame01 hold the same number; their text breaks the tie.
+        for name, value in [("frame1", 1), ("frame01", 2), ("frame001", 3), ("frame2", 4)]:
+            (tmp_path / f"{name}.pgm").write_bytes(pgm_bytes(1, 1, 255, [value]))
+        glob = Path.glob
+        monkeypatch.setattr(Path, "glob", lambda self, *args, **kwargs: sorted(
+            glob(self, *args, **kwargs), key=str, reverse=reverse))
+        seq = load_sequence(tmp_path)
+        assert [round(img.pixels[0, 0] * 255) for img in seq] == [3, 2, 1, 4]
 
     @pytest.mark.parametrize("dirs", [("a", "b"), ("b", "a")], ids=["a-first", "b-first"])
     def test_subdirectories_stay_grouped(self, tmp_path, dirs):

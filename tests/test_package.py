@@ -25,7 +25,7 @@ MODULE_NAMES = {
         "intensity_series",
     },
     "analysis": {
-        "AnalysisParams", "RegionEvents", "ExpressionReport", "smooth_series", "detect_events",
+        "AnalysisParams", "RegionEvents", "ExpressionReport", "detect_events",
         "rank_regions", "build_report",
     },
     "synth": {"GroundTruth", "RegionMotion", "make_texture", "translate_sequence",
@@ -36,7 +36,7 @@ MODULE_NAMES = {
 
 def test_package_names_are_pinned():
     expected = {"__version__"}.union(*MODULE_NAMES.values())
-    assert len(expected) == 43
+    assert len(expected) == 42
     assert len(faceflow.__all__) == len(set(faceflow.__all__))
     assert set(faceflow.__all__) == expected
     for name in faceflow.__all__:
