@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -55,26 +54,20 @@ def _choice_of(*allowed: str) -> Callable[[str], str]:
             raise ValueError(f"must be one of: {', '.join(allowed)}")
         return text
 
-    convert.__name__ = "|".join(allowed)
     return convert
 
 
 def _parse_motion(text: str) -> RegionMotion:
     parts = text.split(":")
     if len(parts) != 5:
-        raise ConfigError(
-            f"--active expects name:amplitude:onset:apex:offset, got {text!r}"
-        )
-    try:
-        return RegionMotion(
-            region=parts[0],
-            amplitude=float(parts[1]),
-            onset=int(parts[2]),
-            apex=int(parts[3]),
-            offset=int(parts[4]),
-        )
-    except (ValueError, ConfigError) as exc:  # a bad number, or RegionMotion's own check
-        raise ConfigError(f"--active {text!r}: {exc}") from exc
+        raise ConfigError("expects name:amplitude:onset:apex:offset")
+    return RegionMotion(
+        region=parts[0],
+        amplitude=float(parts[1]),
+        onset=int(parts[2]),
+        apex=int(parts[3]),
+        offset=int(parts[4]),
+    )
 
 
 @dataclass(frozen=True)
@@ -85,10 +78,12 @@ class _Opt:
     help: str
     repeat: bool = False
     required: bool = False
+    field: str = ""  # the parameter field it sets, when that is not the flag's name
 
     @property
     def dest(self) -> str:
-        return self.flag.replace("-", "_")
+        """Its key in the merged options: the field it sets, else the flag's name."""
+        return self.field or self.flag.replace("-", "_")
 
 
 _GRID_OPTS = (
@@ -96,9 +91,11 @@ _GRID_OPTS = (
     _Opt("cols", int, GridSpec.cols, "grid columns"),
     _Opt("regions", str, None, "region-map file (default: packaged facial layout)"),
 )
+# Each dest is a FlowParams field name.
 _FLOW_OPTS = (
     _Opt("window-radius", int, FlowParams.window_radius, "LK window radius in pixels"),
-    _Opt("sigma", float, FlowParams.smooth_sigma, "Gaussian pre-smoothing sigma, 0 disables"),
+    _Opt("sigma", float, FlowParams.smooth_sigma, "Gaussian pre-smoothing sigma, 0 disables",
+         field="smooth_sigma"),
     _Opt("eigen-threshold", float, FlowParams.eigen_threshold,
          "validity threshold on the smaller eigenvalue"),
     _Opt("pyramid-levels", int, FlowParams.pyramid_levels, "coarse-to-fine levels, 1 = single level"),
@@ -156,16 +153,16 @@ def _add_opts(parser: argparse.ArgumentParser, opts: tuple[_Opt, ...]) -> None:
     parser.add_argument("--config", default=None, help="key=value config file; flags win")
     for opt in opts:
         shown = "" if opt.default is None else f" (default {opt.default})"
-        parser.add_argument(f"--{opt.flag}", type=opt.convert, default=None,
+        parser.add_argument(f"--{opt.flag}", default=None,
                             action="append" if opt.repeat else "store", help=opt.help + shown)
 
 
-def _read_text(path: str, what: str) -> str:
-    """Text of a config or region file; an unreadable or undecodable one is a usage error."""
+def _read_text(path: str, what: str, error: type[Exception] = ConfigError) -> str:
+    """Text of an input file; an unreadable or undecodable one raises `error` naming it."""
     try:
         return Path(path).read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{what} {path}: {exc}") from exc
+        raise error(f"{what} {path}: {exc}") from exc
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -185,28 +182,34 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _merge_options(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
-    """Defaults, overlaid by config-file values, overlaid by explicit flags."""
-    values = {opt.dest: opt.default for opt in opts}
-    if args.config:
-        by_flag = {opt.flag: opt for opt in opts}
-        for key, text in _read_config(args.config).items():
-            opt = by_flag.get(key.replace("_", "-"))
-            if opt is None:
-                raise ConfigError(f"unknown config key {key!r}")
+    """Convert each option's winning text: a flag beats a config line, which beats the default."""
+    by_flag = {opt.flag: opt for opt in opts}
+    given: dict[str, tuple[str, list[str]]] = {}  # flag -> (source, texts)
+    for key, text in (_read_config(args.config) if args.config else {}).items():
+        opt = by_flag.get(key.replace("_", "-"))
+        if opt is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        texts = [part.strip() for part in text.split(";")] if opt.repeat else [text]
+        given[opt.flag] = (f"config key {key!r}", texts)
+    for opt in opts:
+        flag_text = getattr(args, opt.flag.replace("-", "_"))
+        if flag_text is not None:
+            given[opt.flag] = (f"--{opt.flag}", flag_text if opt.repeat else [flag_text])
+    values = {}
+    for opt in opts:
+        if opt.flag not in given:
+            if opt.required:
+                raise ConfigError(f"missing required option --{opt.flag}")
+            values[opt.dest] = opt.default
+            continue
+        source, texts = given[opt.flag]
+        converted = []
+        for text in texts:
             try:
-                if opt.repeat:
-                    values[opt.dest] = [opt.convert(part.strip()) for part in text.split(";")]
-                else:
-                    values[opt.dest] = opt.convert(text)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-    for opt in opts:
-        given = getattr(args, opt.dest)
-        if given is not None:
-            values[opt.dest] = given
-    for opt in opts:
-        if opt.required and values[opt.dest] is None:
-            raise ConfigError(f"missing required option --{opt.flag}")
+                converted.append(opt.convert(text))
+            except (ValueError, ConfigError) as exc:  # a malformed value, or a check it runs
+                raise ConfigError(f"{source} {text!r}: {exc}") from exc
+        values[opt.dest] = converted if opt.repeat else converted[0]
     return values
 
 
@@ -270,8 +273,6 @@ def parse_series_csv(text: str) -> IntensitySeries:
             magnitudes = [float(part) for part in parts[1:]]
         except ValueError:
             raise DataError(f"line {lineno}: non-numeric magnitude") from None
-        if any(not math.isfinite(m) or m < 0 for m in magnitudes):
-            raise DataError(f"line {lineno}: magnitudes must be finite and >= 0")
         frames.append(frame)
         rows.append(magnitudes)
     if not rows:
@@ -383,31 +384,22 @@ def _write_output(out: str, name: str, content: str) -> int:
 
 
 def _read_series(cfg: dict) -> IntensitySeries:
-    try:
-        text = Path(cfg["series"]).read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"series file {cfg['series']}: {exc}") from exc
-    return parse_series_csv(text)
+    return parse_series_csv(_read_text(cfg["series"], "series file", DataError))
 
 
 def _cmd_series(cfg: dict) -> int:
+    params = FlowParams(**{opt.dest: cfg[opt.dest] for opt in _FLOW_OPTS})
     region_map = _load_region_map(cfg)
     seq = load_sequence(cfg["frames"], cfg["pattern"])
     grid = make_grid(seq.width, seq.height, rows=cfg["rows"], cols=cfg["cols"])
-    params = FlowParams(
-        window_radius=cfg["window_radius"],
-        smooth_sigma=cfg["sigma"],
-        eigen_threshold=cfg["eigen_threshold"],
-        pyramid_levels=cfg["pyramid_levels"],
-    )
     series = intensity_series(seq, grid, region_map, params, mode=cfg["mode"],
                               normalize=cfg["units"] == "normalized")
     return _write_output(cfg["out"], "series.csv", format_series_csv(series))
 
 
 def _cmd_analyze(cfg: dict) -> int:
-    series = _read_series(cfg)
     params = AnalysisParams(**{opt.dest: cfg[opt.dest] for opt in _ANALYSIS_OPTS})
+    series = _read_series(cfg)
     report = build_report(series, params)
     return _write_output(cfg["out"], "report.json", json.dumps(report_to_dict(report), indent=2) + "\n")
 

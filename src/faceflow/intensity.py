@@ -87,6 +87,11 @@ class IntensitySeries:
             raise ConfigError("values must be (n_frames, n_regions)")
         if self.frames.shape != (self.values.shape[0],):
             raise ConfigError("frames must have one entry per values row")
+        usable = np.isfinite(self.values) & (self.values >= 0)
+        if not usable.all():
+            i, j = np.argwhere(~usable)[0]
+            raise DataError(f"frame {self.frames[i]}, region {self.regions[j]!r}: "
+                            f"magnitude {self.values[i, j]} is not finite and >= 0")
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.regions:

@@ -41,8 +41,7 @@ class GridSpec:
     cols: int = 4
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError(f"grid needs at least 1 row and column, got {self.rows}x{self.cols}")
+        _check_grid_shape(self.rows, self.cols)
         if self.width < self.cols or self.height < self.rows:
             raise ConfigError(
                 f"{self.width}x{self.height} frame cannot hold a "
@@ -56,6 +55,11 @@ class GridSpec:
     def row_bounds(self, row: int) -> tuple[int, int]:
         """Half-open y range [y0, y1) of a row; the last row absorbs remainder pixels."""
         return _span(row, self.rows, self.height)
+
+
+def _check_grid_shape(rows: int, cols: int) -> None:
+    if rows < 1 or cols < 1:
+        raise ConfigError(f"grid needs at least 1 row and column, got {rows}x{cols}")
 
 
 def _span(index: int, parts: int, length: int) -> tuple[int, int]:
@@ -128,6 +132,7 @@ def parse_region_map(text: str, rows: int = GridSpec.rows, cols: int = GridSpec.
     '#' starts a comment; blank lines are ignored. Cells are validated against
     a rows x cols grid; RegionMap rejects a cell claimed by two regions.
     """
+    _check_grid_shape(rows, cols)
     regions: dict[str, frozenset[tuple[int, int]]] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()

@@ -193,8 +193,6 @@ def synth_expression(
     from scipy.ndimage import distance_transform_edt  # here: commands without it skip scipy
 
     for motion in motions:
-        if motion.region not in region_map:
-            raise ConfigError(f"no region named {motion.region!r}")
         if motion.region in weights:
             raise ConfigError(f"region {motion.region!r} given twice")
         if motion.offset > n - 1:

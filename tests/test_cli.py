@@ -323,6 +323,23 @@ class TestSeries:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "series.csv").exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--window-radius=0", "window_radius must be >= 1, got 0"),
+        ("--sigma=-1", "smooth_sigma must be >= 0, got -1.0"),
+        ("--eigen-threshold=nan", "eigen_threshold must be finite, got nan"),
+        ("--pyramid-levels=0", "pyramid_levels must be >= 1, got 0"),
+        ("--rows=0", "grid needs at least 1 row and column, got 0x4"),
+        ("--cols=-2", "grid needs at least 1 row and column, got 6x-2"),
+    ], ids=["window-radius", "sigma", "eigen-threshold", "pyramid-levels", "rows", "cols"])
+    def test_bad_parameter_rejected_before_any_frame_is_decoded(self, mouth_run, tmp_path,
+                                                                 monkeypatch, flag, message):
+        monkeypatch.setattr(faceflow.cli, "load_sequence",
+                            lambda *args: pytest.fail("frames decoded for a bad parameter"))
+        code, err = _run_main(["series", "--frames", str(mouth_run / "frames"), flag,
+                               "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_CONFIG_ERROR, f"error: {message}\n")
+        assert not (tmp_path / "series.csv").exists()
+
     @pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
     def test_tiny_sigma_gives_the_sigma_zero_series(self, tmp_path, sigma):
         # 2 sigma^2 underflows below about 1e-162; the Gaussian is then a delta.
@@ -496,6 +513,12 @@ class TestAnalyze:
         )
         assert code == EXIT_CONFIG_ERROR
 
+    def test_bad_parameter_reported_before_a_missing_series(self, tmp_path):
+        code, err = _run_main(["analyze", "--series", str(tmp_path / "missing.csv"),
+                               "--theta", "1.5", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "theta" in err and "missing.csv" not in err
+
 
 class TestPlot:
     def test_one_polyline_per_region(self, mouth_run, tmp_path):
@@ -534,6 +557,14 @@ def test_undecodable_csv_is_data_error(tmp_path, capsys, command, written):
 
 
 @pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_missing_csv_names_the_file(tmp_path, command):
+    csv = tmp_path / "missing.csv"
+    code, err = _run_main([command, "--series", str(csv), "--out", str(tmp_path)])
+    assert code == EXIT_DATA_ERROR
+    assert err.startswith(f"error: series file {csv}: ") and "No such file" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "plot"])
 class TestFrameNumberRange:
     @pytest.mark.parametrize("frame", ["99999999999999999999", "9223372036854775808",
                                        "-9223372036854775809"])
@@ -564,6 +595,35 @@ class TestConfigFile:
         cfg.write_text("count = 7\n")
         out = tmp_path / "frames"
         main(["synth", "--config", str(cfg), "--count", "4", "--out", str(out)])
+        assert len(list(out.glob("*.pgm"))) == 4
+
+    def test_flag_and_config_values_share_one_message_format(self, tmp_path):
+        reason = "invalid literal for int() with base 10: 'x'"
+        out = str(tmp_path / "frames")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("count = x\n")
+        assert _run_main(["synth", "--count", "x", "--out", out]) == (
+            EXIT_CONFIG_ERROR, f"error: --count 'x': {reason}\n")
+        assert _run_main(["synth", "--config", str(cfg), "--out", out]) == (
+            EXIT_CONFIG_ERROR, f"error: config key 'count' 'x': {reason}\n")
+        assert not (tmp_path / "frames").exists()
+
+    def test_config_value_error_names_the_config_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("count = 6\nactive = mouth:1:0:0:5\n")
+        code, err = _run_main(["synth", "--config", str(cfg), "--out", str(tmp_path / "frames")])
+        assert (code, err) == (
+            EXIT_CONFIG_ERROR,
+            "error: config key 'active' 'mouth:1:0:0:5': apex must come after frame 0 "
+            "when amplitude > 0\n",
+        )
+
+    def test_config_value_overridden_by_a_flag_is_not_read(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("count = x\n")
+        out = tmp_path / "frames"
+        code, err = _run_main(["synth", "--config", str(cfg), "--count", "4", "--out", str(out)])
+        assert (code, err) == (EXIT_OK, "")
         assert len(list(out.glob("*.pgm"))) == 4
 
     def test_underscore_keys_accepted(self, tmp_path):
@@ -643,8 +703,21 @@ class TestSeriesCsvHelpers:
             parse_series_csv("time,a\n1,0.5\n")
 
     def test_negative_magnitude_rejected(self):
-        with pytest.raises(DataError, match="line 2: magnitudes must be finite and >= 0"):
+        with pytest.raises(DataError, match="frame 1, region 'a': magnitude -0.5 is not finite"):
             parse_series_csv("frame,a\n1,-0.5\n")
+
+    def test_blank_body_line_skipped(self):
+        series = parse_series_csv("frame,a\n1,0.5\n\n2,0.25\n")
+        assert series.frames.tolist() == [1, 2]
+        assert series.values.tolist() == [[0.5], [0.25]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("frame,a\n1,0.5,0.75\n", "line 2: expected 2 fields, got 3"),
+        ("frame,a\nx,0.5\n", "line 2: bad frame index 'x'"),
+    ])
+    def test_malformed_row_rejected(self, text, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            parse_series_csv(text)
 
     def test_report_dict_key_order(self):
         series = IntensitySeries(

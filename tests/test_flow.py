@@ -21,7 +21,7 @@ from faceflow import (
     spatiotemporal_gradients,
     translate_sequence,
 )
-from faceflow.flow import _window_means
+from faceflow.flow import FlowField, _window_means
 
 INTERIOR = 9  # margin past the default window radius, clear of border effects
 
@@ -147,6 +147,12 @@ class TestGradients:
         assert np.array_equal(g.ix, (p[1:-1, 2:] - p[1:-1, :-2]) * 0.5)
         assert np.array_equal(g.iy, (p[2:, 1:-1] - p[:-2, 1:-1]) * 0.5)
         assert np.array_equal(g.it, b - a)
+
+
+class TestFlowField:
+    def test_rasters_must_share_one_shape(self):
+        with pytest.raises(DataError, match="flow rasters must share one shape"):
+            FlowField(u=np.zeros((2, 3)), v=np.zeros((2, 3)), valid=np.ones((3, 2), dtype=bool))
 
 
 class TestWindowMeans:

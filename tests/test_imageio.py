@@ -88,6 +88,12 @@ class TestDecodePgm:
         with pytest.raises(DataError, match="expected 4 sample bytes, got 3"):
             decode_pgm(pgm_bytes(2, 2, 255, [0, 1, 2]))
 
+    @pytest.mark.parametrize("data", [b"P5 1 1 255", b"P5 1 1 255#c\n\x00"],
+                             ids=["end-of-data", "comment"])
+    def test_missing_whitespace_after_maxval(self, data):
+        with pytest.raises(DataError, match="missing whitespace byte after maxval"):
+            decode_pgm(data)
+
     def test_empty_input(self):
         with pytest.raises(DataError, match="header ended before"):
             decode_pgm(b"")
@@ -184,6 +190,10 @@ class TestImageTypes:
     def test_image_requires_2d(self):
         with pytest.raises(ConfigError, match="non-empty 2-D array"):
             Image(np.zeros((2, 2, 3)))
+
+    def test_sequence_rejects_no_frames(self):
+        with pytest.raises(DataError, match="frame sequence has no frames"):
+            FrameSequence(())
 
     def test_sequence_rejects_mixed_dims(self):
         a = Image(np.zeros((2, 2)))

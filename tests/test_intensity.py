@@ -191,6 +191,25 @@ class TestIntensitySeries:
         with pytest.raises(ConfigError, match="mode must be 'reference' or 'consecutive'"):
             intensity_series(seq, grid, rmap, mode="backwards")
 
+    @pytest.mark.parametrize("frames, values, message", [
+        ([1, 2], [1.0, 2.0], r"values must be \(n_frames, n_regions\)"),
+        ([1, 2], [[1.0, 2.0, 3.0]] * 2, r"values must be \(n_frames, n_regions\)"),
+        ([1, 2, 3], [[1.0, 2.0]] * 2, "frames must have one entry per values row"),
+    ], ids=["1-d", "columns", "frames"])
+    def test_shapes_checked(self, frames, values, message):
+        with pytest.raises(ConfigError, match=message):
+            IntensitySeries(regions=("a", "b"), frames=np.array(frames), values=np.array(values))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-300])
+    @pytest.mark.parametrize("regions", [("a", "b"), ("b", "a")], ids=["a-b", "b-a"])
+    def test_unusable_magnitude_rejected_in_any_column_order(self, regions, bad):
+        # A NaN used to make the ranking of build_report depend on the column order.
+        columns = {"a": [0.0, 1.0, 0.0], "b": [0.0, bad, 0.5]}
+        values = np.array([columns[name] for name in regions]).T
+        with pytest.raises(DataError, match=f"^frame 2, region 'b': magnitude {bad} is not "
+                                            "finite and >= 0$"):
+            IntensitySeries(regions=regions, frames=np.array([1, 2, 3]), values=values)
+
     def test_column_lookup(self):
         series = IntensitySeries(
             regions=("a", "b"),

@@ -173,6 +173,13 @@ class TestParseRegionMap:
         with pytest.raises(ConfigError, match="line 2: cell number too long"):
             parse_region_map(f"region a = r0c0\nregion b = {cell}\n")
 
+    @pytest.mark.parametrize("rows, cols", [(0, 4), (6, -2)])
+    def test_grid_shape_checked_before_cells(self, rows, cols):
+        # The rule GridSpec applies, not a report that r0c0 lies outside the grid.
+        with pytest.raises(ConfigError,
+                           match=f"^grid needs at least 1 row and column, got {rows}x{cols}$"):
+            parse_region_map("region a = r0c0", rows=rows, cols=cols)
+
     def test_custom_grid_size(self):
         rmap = parse_region_map("region a = r7c7\n", rows=8, cols=8)
         assert rmap["a"] == frozenset({(7, 7)})

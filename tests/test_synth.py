@@ -197,6 +197,10 @@ class TestSynthExpression:
         with pytest.raises(ConfigError, match="region 'mouth' given twice"):
             self.synth(motions)
 
+    def test_too_few_frames(self):
+        with pytest.raises(ConfigError, match="need at least 2 frames, got 1"):
+            self.synth((), n=1)
+
     def test_offset_beyond_sequence(self):
         with pytest.raises(ConfigError, match="offset frame 12 beyond last frame 11"):
             self.synth((RegionMotion("mouth", 1.0, onset=1, apex=5, offset=12),), n=12)
