@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .intensity import IntensitySeries
+from .intensity import IntensitySeries, _check_magnitudes
 
 __all__ = [
     "AnalysisParams",
@@ -109,12 +109,14 @@ def detect_events(values, params: AnalysisParams = AnalysisParams()) -> RegionEv
     start of the first run of >= run_length consecutive values above theta*P
     within [0, apex]; offset is the last index of the last such run within
     [apex, end]. A zero-peak series has no events. Indices are positions in
-    `values`; callers tracking frame numbers relabel them.
+    `values`; callers tracking frame numbers relabel them. Values must be
+    finite and >= 0, as in an IntensitySeries.
     """
     data = np.asarray(values, dtype=np.float64)
     if data.ndim != 1 or data.size == 0:
         raise DataError(f"cannot detect events on an empty series or one that is not 1-D, "
                         f"got shape {data.shape}")
+    _check_magnitudes(data, lambda i: f"index {i}")
     smoothed = _smooth(data, params.smooth_window)
 
     peak = float(smoothed.max())
@@ -155,9 +157,6 @@ def build_report(series: IntensitySeries, params: AnalysisParams = AnalysisParam
     is positive and at least rho times the dominant peak, sorted by
     descending peak. Event indices are reported as frame numbers.
     """
-    if not series.regions or series.values.size == 0:
-        raise DataError("series has no regions or no rows")
-
     per_region: dict[str, RegionEvents] = {}
     for name in series.regions:
         events = detect_events(series.column(name), params)

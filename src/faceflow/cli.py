@@ -177,7 +177,10 @@ def _read_config(path: str) -> dict[str, str]:
         if "\0" in line:  # argv cannot carry one, so this is the one place to catch it
             raise ConfigError(f"config file {path} line {lineno}: contains a NUL byte")
         key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key = key.strip().replace("_", "-")  # keys are flag names, with dashes or underscores
+        if key in entries:
+            raise ConfigError(f"config file {path} line {lineno}: key {key!r} is set twice")
+        entries[key] = value.strip()
     return entries
 
 
@@ -186,7 +189,7 @@ def _merge_options(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
     by_flag = {opt.flag: opt for opt in opts}
     given: dict[str, tuple[str, list[str]]] = {}  # flag -> (source, texts)
     for key, text in (_read_config(args.config) if args.config else {}).items():
-        opt = by_flag.get(key.replace("_", "-"))
+        opt = by_flag.get(key)
         if opt is None:
             raise ConfigError(f"unknown config key {key!r}")
         texts = [part.strip() for part in text.split(";")] if opt.repeat else [text]
@@ -214,14 +217,9 @@ def _merge_options(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
 
 
 def _load_region_map(cfg: dict) -> RegionMap:
-    if cfg["regions"] is not None:
-        text = _read_text(cfg["regions"], "region map")
-    else:
-        text = default_region_text()
-    region_map = parse_region_map(text, rows=cfg["rows"], cols=cfg["cols"])
-    if not region_map.names():
-        raise ConfigError(f"region map {cfg['regions']} defines no regions")
-    return region_map
+    path = cfg["regions"]
+    text = default_region_text() if path is None else _read_text(path, "region map")
+    return parse_region_map(text, rows=cfg["rows"], cols=cfg["cols"])
 
 
 def format_series_csv(series: IntensitySeries) -> str:
@@ -234,19 +232,11 @@ def format_series_csv(series: IntensitySeries) -> str:
 
 
 def parse_series_csv(text: str) -> IntensitySeries:
-    """Parse series.csv text; raises DataError naming the bad line."""
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise DataError("line 1: empty file, expected 'frame,<region>,...' header")
+    """Parse series.csv text: DataError names a bad line; IntensitySeries checks the contents."""
+    lines = text.splitlines() or [""]
     header = lines[0].split(",")
-    if header[0] != "frame" or len(header) < 2 or any(not name.strip() for name in header[1:]):
+    if header[0] != "frame" or len(header) < 2:
         raise DataError("line 1: expected header 'frame,<region>,...'")
-    if not all(name.isprintable() for name in header[1:]):
-        raise DataError("line 1: region names must be printable text")
-    regions = tuple(name.strip() for name in header[1:])
-    duplicates = sorted({name for name in regions if regions.count(name) > 1})
-    if duplicates:
-        raise DataError(f"line 1: duplicate region column(s) {', '.join(duplicates)}")
 
     frames: list[int] = []
     rows: list[list[float]] = []
@@ -264,23 +254,17 @@ def parse_series_csv(text: str) -> IntensitySeries:
             raise DataError(f"line {lineno}: bad frame index {parts[0]!r}") from None
         if not -(2**63) <= frame < 2**63:
             raise DataError(f"line {lineno}: frame {frame} outside the 64-bit range")
-        if frames and frame <= frames[-1]:
-            raise DataError(
-                f"line {lineno}: frame {frame} does not follow frame {frames[-1]}; "
-                "frame numbers must be strictly increasing"
-            )
         try:
             magnitudes = [float(part) for part in parts[1:]]
         except ValueError:
             raise DataError(f"line {lineno}: non-numeric magnitude") from None
         frames.append(frame)
         rows.append(magnitudes)
-    if not rows:
-        raise DataError("line 2: no data rows")
     return IntensitySeries(
-        regions=regions,
+        regions=tuple(name.strip() for name in header[1:]),
         frames=np.array(frames, dtype=np.int64),
-        values=np.array(rows, dtype=np.float64),
+        # The reshape keeps a header-only file's shape (0, regions), which the series rejects.
+        values=np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1),
         units="unknown",
         mode="unknown",
     )
@@ -412,9 +396,9 @@ def _cmd_synth(cfg: dict) -> int:
     n = cfg["count"]
     if cfg["active"] and (cfg["dx"] or cfg["dy"]):
         raise ConfigError("--dx and --dy shift translation mode; they cannot be used with --active")
+    grid = make_grid(cfg["width"], cfg["height"], rows=cfg["rows"], cols=cfg["cols"])
+    region_map = _load_region_map(cfg)
     if cfg["active"]:
-        grid = make_grid(cfg["width"], cfg["height"], rows=cfg["rows"], cols=cfg["cols"])
-        region_map = _load_region_map(cfg)
         seq, truth = synth_expression(
             cfg["width"], cfg["height"], grid, region_map, cfg["active"], n, cfg["seed"]
         )

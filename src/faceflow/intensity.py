@@ -87,16 +87,36 @@ class IntensitySeries:
             raise ConfigError("values must be (n_frames, n_regions)")
         if self.frames.shape != (self.values.shape[0],):
             raise ConfigError("frames must have one entry per values row")
-        usable = np.isfinite(self.values) & (self.values >= 0)
-        if not usable.all():
-            i, j = np.argwhere(~usable)[0]
-            raise DataError(f"frame {self.frames[i]}, region {self.regions[j]!r}: "
-                            f"magnitude {self.values[i, j]} is not finite and >= 0")
+        if self.values.size == 0:
+            raise DataError("series has no regions or no rows")
+        for name in self.regions:
+            if not name or not name.isprintable() or "," in name or name != name.strip():
+                raise DataError(f"region name {name!r} must be non-empty printable text "
+                                "with no comma and no leading or trailing space")
+        duplicates = sorted({name for name in self.regions if self.regions.count(name) > 1})
+        if duplicates:
+            raise DataError(f"duplicate region name(s) {', '.join(duplicates)}")
+        # Compared, not differenced: a difference overflows at the int64 extremes.
+        unordered = np.flatnonzero(self.frames[1:] <= self.frames[:-1])
+        if unordered.size:
+            i = unordered[0]
+            raise DataError(f"frame {self.frames[i + 1]} does not follow frame {self.frames[i]}; "
+                            "frame numbers must be strictly increasing")
+        _check_magnitudes(self.values,
+                          lambda i, j: f"frame {self.frames[i]}, region {self.regions[j]!r}")
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.regions:
             raise ConfigError(f"no region named {name!r} in series")
         return self.values[:, self.regions.index(name)]
+
+
+def _check_magnitudes(values: np.ndarray, where) -> None:
+    """Raise DataError at the first value that is not finite and >= 0, named by where(*index)."""
+    usable = np.isfinite(values) & (values >= 0)
+    if not usable.all():
+        index = tuple(np.argwhere(~usable)[0])
+        raise DataError(f"{where(*index)}: magnitude {values[index]} is not finite and >= 0")
 
 
 def displacement_magnitude(vec: FlowVector) -> float:

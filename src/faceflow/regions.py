@@ -75,6 +75,8 @@ class RegionMap:
     regions: dict[str, frozenset[tuple[int, int]]]
 
     def __post_init__(self) -> None:
+        if not self.regions:
+            raise ConfigError("region map defines no regions")
         claimed: dict[tuple[int, int], str] = {}
         for name, cells in self.regions.items():
             for cell in cells:

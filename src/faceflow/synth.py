@@ -125,8 +125,6 @@ def make_texture(width: int, height: int, seed: int) -> Image:
         k = 2.0 * math.pi / wavelength
         tex += np.sin(k * (xs * math.cos(angle) + ys * math.sin(angle)) + phase)
     lo, hi = float(tex.min()), float(tex.max())
-    if hi == lo:
-        return Image(np.full((height, width), 0.5))
     t = (tex - lo) / (hi - lo)
     # Lerp form hits 0.1 and 0.9 exactly at the extremes; clip guards the
     # one-ULP overshoot possible in between.

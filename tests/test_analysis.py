@@ -145,6 +145,12 @@ class TestDetectEvents:
         with pytest.raises(DataError, match="empty series"):
             detect_events(np.array([]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), -5.0])
+    def test_unusable_magnitude_rejected(self, bad):
+        # A NaN would become the apex; a negative value would drag the peak to <= 0.
+        with pytest.raises(DataError, match=f"^index 2: magnitude {bad} is not finite and >= 0$"):
+            detect_events([0.0, 1.0, bad, 1.0, 0.0])
+
     @pytest.mark.parametrize("values", [np.ones((3, 2)), np.ones((1, 5)), 1.0])
     def test_series_not_1d_is_data_error(self, values):
         with pytest.raises(DataError, match="not 1-D"):
@@ -267,11 +273,8 @@ class TestRankRegions:
             previous = deformed
 
     def test_empty_series_rejected(self):
-        series = IntensitySeries(
-            regions=(), frames=np.array([], dtype=np.int64), values=np.zeros((0, 0))
-        )
-        with pytest.raises(DataError, match="no regions or no rows"):
-            rank_regions(series)
+        with pytest.raises(DataError, match="^series has no regions or no rows$"):
+            IntensitySeries(regions=(), frames=np.array([], dtype=np.int64), values=np.zeros((0, 0)))
 
     def test_bad_rho_rejected(self):
         series = make_series({"a": [1.0, 2.0, 1.0]})

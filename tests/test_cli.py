@@ -164,6 +164,20 @@ class TestSynth:
         assert "--active" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rows", "0", "grid needs at least 1 row and column, got 0x4\n"),
+        ("--cols", "0", "grid needs at least 1 row and column, got 6x0\n"),
+        ("--regions", "missing.regions", "region map missing.regions: "),
+    ], ids=["rows", "cols", "regions"])
+    def test_grid_options_checked_in_translation_mode(self, tmp_path, monkeypatch, flag, value,
+                                                      message):
+        monkeypatch.chdir(tmp_path)
+        code, err = _run_main(["synth", "--out", "frames", "--count", "5", "--dx", "0.1",
+                               flag, value])
+        assert code == EXIT_CONFIG_ERROR
+        assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "frames").exists()
+
 
 class TestSeries:
     def test_row_and_column_contract(self, tmp_path):
@@ -429,18 +443,21 @@ class TestAnalyze:
         assert "line 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text, line",
+        "text, message",
         [
-            ("frame,mouth,mouth\n1,0.1,0.2\n2,0.3,0.4\n", "line 1"),
-            ("frame,a\n5,0.1\n2,0.2\n2,0.3\n", "line 3"),
-            ("frame,a\n1,0.1\n2,0.2\n2,0.3\n", "line 4"),
+            ("frame,mouth,mouth\n1,0.1,0.2\n2,0.3,0.4\n", "duplicate region name(s) mouth"),
+            ("frame,a\n5,0.1\n2,0.2\n2,0.3\n", "frame 2 does not follow frame 5; "
+             "frame numbers must be strictly increasing"),
+            ("frame,a\n1,0.1\n2,0.2\n2,0.3\n", "frame 2 does not follow frame 2; "
+             "frame numbers must be strictly increasing"),
         ],
+        ids=["duplicate-column", "decreasing-frame", "repeated-frame"],
     )
-    def test_ambiguous_csv_is_data_error(self, tmp_path, capsys, text, line):
+    def test_ambiguous_csv_is_data_error(self, tmp_path, capsys, text, message):
         csv = tmp_path / "series.csv"
         csv.write_text(text)
         assert main(["analyze", "--series", str(csv), "--out", str(tmp_path)]) == EXIT_DATA_ERROR
-        assert line in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "report.json").exists()
 
     def test_empty_body_csv(self, tmp_path, capsys):
@@ -633,6 +650,18 @@ class TestConfigFile:
         cfg.write_text(f"frames = {frames}\nwindow_radius = 5\n")
         assert main(["series", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
 
+    @pytest.mark.parametrize("command, lines, key", [
+        ("synth", "count = 4\ncount = 6\n", "count"),
+        ("series", "window_radius = 5\nwindow-radius = 6\n", "window-radius"),
+    ], ids=["same-spelling", "underscore-and-dash"])
+    def test_key_set_twice_rejected(self, tmp_path, command, lines, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# run\n" + lines)
+        code, err = _run_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert (code, err) == (EXIT_CONFIG_ERROR,
+                               f"error: config file {cfg} line 3: key {key!r} is set twice\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frames = somewhere\nspeed = 11\n")
@@ -742,8 +771,34 @@ class TestSeriesCsvHelpers:
         assert legend == ["a<b&c", "mouth"]
 
     def test_unprintable_region_name_rejected(self):
-        with pytest.raises(DataError, match="line 1: region names must be printable"):
+        message = ("region name 'mo\\x01uth' must be non-empty printable text "
+                   "with no comma and no leading or trailing space")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             parse_series_csv("frame,mo\x01uth\n1,0.5\n")
+
+    @given(
+        # Separators and control characters included: a name holding one must be refused.
+        regions=st.lists(st.text(st.characters(categories=("L", "N", "P", "S", "Z", "Cc")),
+                                 max_size=4), min_size=1, max_size=4),
+        frames=st.sets(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5),
+        magnitudes=st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                            min_size=20, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(regions=["a,b"], frames={1}, magnitudes=[0.5] * 20)
+    def test_round_trip_of_every_accepted_series(self, regions, frames, magnitudes):
+        shape = (len(frames), len(regions))
+        values = np.array(magnitudes[: shape[0] * shape[1]]).reshape(shape)
+        try:
+            series = IntensitySeries(regions=tuple(regions), frames=np.array(sorted(frames)),
+                                     values=values)
+        except DataError:
+            return  # the type refuses it, so there is nothing to write
+        again = parse_series_csv(format_series_csv(series))
+        assert again.regions == series.regions
+        assert np.array_equal(again.frames, series.frames)
+        np.testing.assert_allclose(again.values, series.values, rtol=1e-8,
+                                   atol=np.finfo(np.float64).smallest_subnormal)
 
 
 class TestTopLevel:
@@ -991,7 +1046,7 @@ class TestEmptyRegionMap:
         code = main([command, "--frames", str(mouth_run / "frames"),
                      "--regions", str(_empty_region_map(tmp_path)), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG_ERROR
-        assert "comments.regions defines no regions" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: region map defines no regions\n"
         assert not (tmp_path / "series.csv").exists()
         assert not (tmp_path / "report.json").exists()
 

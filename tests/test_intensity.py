@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 import threading
 
@@ -210,6 +211,39 @@ class TestIntensitySeries:
                                             "finite and >= 0$"):
             IntensitySeries(regions=regions, frames=np.array([1, 2, 3]), values=values)
 
+    @pytest.mark.parametrize("regions, values", [
+        (("a",), np.zeros((0, 1))),
+        ((), np.zeros((2, 0))),
+    ], ids=["no-rows", "no-regions"])
+    def test_empty_series_rejected(self, regions, values):
+        frames = np.arange(1, len(values) + 1)
+        with pytest.raises(DataError, match="^series has no regions or no rows$"):
+            IntensitySeries(regions=regions, frames=frames, values=values)
+
+    @pytest.mark.parametrize("name", ["", "a,b", " a", "a ", "mo\x01uth"],
+                             ids=["empty", "comma", "leading-space", "trailing-space",
+                                  "unprintable"])
+    def test_region_name_must_survive_a_csv_header(self, name):
+        message = (f"region name {name!r} must be non-empty printable text "
+                   "with no comma and no leading or trailing space")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            IntensitySeries(regions=("b", name), frames=np.array([1]), values=np.zeros((1, 2)))
+
+    def test_duplicate_region_names_rejected(self):
+        # Two equal names would collapse into one key of build_report's per_region.
+        with pytest.raises(DataError, match="^duplicate region name\\(s\\) a, b$"):
+            IntensitySeries(regions=("a", "b", "c", "b", "a"), frames=np.array([1]),
+                            values=np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("frames, message", [
+        ([7, 6, 5], "frame 6 does not follow frame 7"),
+        ([1, 2, 2], "frame 2 does not follow frame 2"),
+    ], ids=["decreasing", "repeated"])
+    def test_frames_must_increase(self, frames, message):
+        with pytest.raises(DataError, match=f"^{message}; frame numbers must be strictly "
+                                            "increasing$"):
+            IntensitySeries(regions=("a",), frames=np.array(frames), values=np.zeros((3, 1)))
+
     def test_column_lookup(self):
         series = IntensitySeries(
             regions=("a", "b"),
@@ -276,11 +310,10 @@ class TestConcurrentPairs:
         assert np.array_equal(serial.counts, parallel.counts)
         assert serial.values.any()
 
-    def test_empty_region_map_gives_empty_rows(self):
-        frame = make_texture(32, 32, seed=0)
-        seq = FrameSequence((frame, frame, frame))
-        series = intensity_series(seq, make_grid(32, 32, 2, 2), parse_region_map("", rows=2, cols=2))
-        assert series.values.shape == (2, 0) and series.counts.shape == (2, 0)
+    def test_empty_region_map_rejected(self):
+        # An empty map would have every pair solved on the whole frame, for no region.
+        with pytest.raises(ConfigError, match="^region map defines no regions$"):
+            parse_region_map("", rows=2, cols=2)
 
 
 def full_frame_series(seq, grid, rmap, params, mode):

@@ -129,6 +129,10 @@ class TestRegionMap:
         with pytest.raises(ConfigError, match="cell r0c0 belongs to both 'a' and 'b'"):
             RegionMap({"a": frozenset({(0, 0)}), "b": frozenset({(0, 0)})})
 
+    def test_no_regions_rejected(self):
+        with pytest.raises(ConfigError, match="^region map defines no regions$"):
+            RegionMap({})
+
     def test_lookup(self):
         rmap = RegionMap({"a": frozenset({(1, 2)})})
         assert "a" in rmap
