@@ -3,9 +3,10 @@
 A region's curve is smoothed with a centered moving average, then scanned for
 onset (first sustained rise above a fraction theta of the peak), apex (first
 peak), and offset (end of the last sustained stretch above the threshold).
-Regions are ranked by peak value; regions reaching at least rho times the
-dominant peak count as significantly deformed. theta and rho are relative, so
-the analysis is invariant to rescaling the series.
+Regions are ranked by peak value, equal peaks in series column order; regions
+reaching at least rho times the dominant peak count as significantly deformed.
+theta and rho are relative, so the analysis is invariant to rescaling the
+series.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ __all__ = [
     "rank_regions",
     "build_report",
 ]
-
-# Fixed tie-break order for the canonical facial regions; other names rank
-# after them in series column order.
-_CANONICAL_ORDER = ("eyes_eyebrows", "cheeks", "mouth")
-
 
 @dataclass(frozen=True)
 class AnalysisParams:
@@ -139,12 +135,6 @@ def detect_events(values, params: AnalysisParams = AnalysisParams()) -> RegionEv
     return RegionEvents(onset=onset, apex=apex, offset=offset, peak_value=peak)
 
 
-def _tie_break(name: str, columns: tuple[str, ...]):
-    if name in _CANONICAL_ORDER:
-        return (0, _CANONICAL_ORDER.index(name))
-    return (1, columns.index(name))
-
-
 def _relabel(index: int | None, frames: np.ndarray) -> int | None:
     return None if index is None else int(frames[index])
 
@@ -152,10 +142,11 @@ def _relabel(index: int | None, frames: np.ndarray) -> int | None:
 def build_report(series: IntensitySeries, params: AnalysisParams = AnalysisParams()) -> ExpressionReport:
     """Detect per-region events and rank regions by smoothed peak value.
 
-    The dominant region has the highest peak (ties broken by the canonical
-    region order, then column order); deformed regions are those whose peak
-    is positive and at least rho times the dominant peak, sorted by
-    descending peak. Event indices are reported as frame numbers.
+    The dominant region has the highest peak, equal peaks keeping the series'
+    column order (the region map's order for a series from intensity_series);
+    deformed regions are those whose peak is positive and at least rho times
+    the dominant peak, in the same order. Event indices are reported as frame
+    numbers.
     """
     per_region: dict[str, RegionEvents] = {}
     for name in series.regions:
@@ -167,10 +158,8 @@ def build_report(series: IntensitySeries, params: AnalysisParams = AnalysisParam
             offset=_relabel(events.offset, series.frames),
         )
 
-    order = sorted(
-        series.regions,
-        key=lambda name: (-per_region[name].peak_value, _tie_break(name, series.regions)),
-    )
+    # sorted is stable, so equal peaks keep the column order.
+    order = sorted(series.regions, key=lambda name: -per_region[name].peak_value)
     top = per_region[order[0]].peak_value
     if top <= 0:
         dominant = None

@@ -227,7 +227,7 @@ def format_series_csv(series: IntensitySeries) -> str:
     lines = ["frame," + ",".join(series.regions)]
     for i in range(series.values.shape[0]):
         cells = ",".join(f"{value:.8e}" for value in series.values[i])
-        lines.append(f"{int(series.frames[i])},{cells}")
+        lines.append(f"{series.frames[i]},{cells}")
     return "\n".join(lines) + "\n"
 
 
@@ -295,8 +295,9 @@ def render_series_svg(series: IntensitySeries) -> str:
     """Deterministic SVG line chart: one polyline per region, legend, axes."""
     from html import escape  # here: its entity table would cost every other command memory
 
-    width, height = 640.0, 400.0
     left, right, top, bottom = 60.0, 170.0, 20.0, 50.0
+    # Legend baselines run 18 px apart from top + 14; a longer legend grows the canvas.
+    width, height = 640.0, max(400.0, top + 2 + 18.0 * len(series.regions))
     plot_w = width - left - right
     plot_h = height - top - bottom
     frames = series.frames.astype(np.float64)

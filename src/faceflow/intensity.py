@@ -71,8 +71,9 @@ class FlowVector:
 class IntensitySeries:
     """Mean displacement magnitude per region (columns) per frame (rows).
 
-    frames[i] is the frame index row i describes; counts[i, j] is the number
-    of valid flow pixels behind values[i, j] (None when loaded from CSV).
+    frames[i] is the frame number row i describes, stored as int64; counts[i, j]
+    is the number of valid flow pixels behind values[i, j] (None when loaded
+    from CSV).
     """
 
     regions: tuple[str, ...]
@@ -89,6 +90,11 @@ class IntensitySeries:
             raise ConfigError("frames must have one entry per values row")
         if self.values.size == 0:
             raise DataError("series has no regions or no rows")
+        # A float frame would be truncated when written; a uint64 one past int64 wraps negative.
+        kind = self.frames.dtype.kind
+        if kind not in "iu" or kind == "u" and (self.frames.astype(np.int64) < 0).any():
+            raise DataError(f"frame numbers must be integers that fit in int64, got {self.frames.dtype}")
+        object.__setattr__(self, "frames", self.frames.astype(np.int64, copy=False))
         for name in self.regions:
             if not name or not name.isprintable() or "," in name or name != name.strip():
                 raise DataError(f"region name {name!r} must be non-empty printable text "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from faceflow import (
     AnalysisParams,
@@ -215,6 +215,10 @@ class TestDetectEvents:
         )
 
 
+# The packaged map's three names and three others, so renames go to and from both kinds.
+_NAMES = ("eyes_eyebrows", "cheeks", "mouth", "a", "b", "zeta")
+
+
 class TestRankRegions:
     def test_dominant_and_deformed_order(self):
         n = 40
@@ -237,15 +241,39 @@ class TestRankRegions:
         assert report.deformed_regions == ()
         assert all(e.peak_value == 0.0 for e in report.per_region.values())
 
-    def test_tie_breaks_by_canonical_order(self):
+    def test_equal_peaks_keep_column_order(self):
         profile = list(np.interp(np.arange(30), [3, 15, 27], [0, 1, 0]))
         series = make_series({"mouth": profile, "cheeks": profile})
-        assert rank_regions(series).dominant_region == "cheeks"
+        assert rank_regions(series).dominant_region == "mouth"
 
     def test_tie_breaks_by_column_order_for_custom_names(self):
         profile = list(np.interp(np.arange(30), [3, 15, 27], [0, 1, 0]))
         series = make_series({"zeta": profile, "alpha": profile})
         assert rank_regions(series).dominant_region == "zeta"
+
+    @given(
+        names=st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True),
+        targets=st.permutations(_NAMES),
+        # Two profiles shared out among up to four columns, so equal columns are common.
+        profiles=st.lists(st.lists(st.integers(0, 3), min_size=8, max_size=8),
+                          min_size=2, max_size=2),
+        picks=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(names=["mouth", "cheeks"],
+             targets=["a", "b", "eyes_eyebrows", "cheeks", "mouth", "zeta"],
+             profiles=[[0, 1, 2, 3, 3, 2, 1, 0]] * 2, picks=[0, 0, 0, 0])
+    def test_renaming_regions_only_renames_the_report(self, names, targets, profiles, picks):
+        rename = dict(zip(names, targets))
+        columns = {name: profiles[pick] for name, pick in zip(names, picks)}
+        before = build_report(make_series(columns))
+        after = build_report(make_series({rename[name]: column
+                                          for name, column in columns.items()}))
+        assert list(after.per_region.items()) == [
+            (rename[name], events) for name, events in before.per_region.items()
+        ]
+        assert after.dominant_region == rename.get(before.dominant_region)
+        assert after.deformed_regions == tuple(rename[name] for name in before.deformed_regions)
 
     def test_events_reported_as_frame_numbers(self):
         profile = np.interp(np.arange(60), [10, 30, 50], [0, 1, 0])

@@ -770,6 +770,18 @@ class TestSeriesCsvHelpers:
                   if el.tag.endswith("text")][-2:]
         assert legend == ["a<b&c", "mouth"]
 
+    @pytest.mark.parametrize("count, height", [(3, 400), (21, 400), (24, 454)])
+    def test_svg_legend_fits_the_canvas(self, count, height):
+        # The 24 names are every cell of a 6x4 grid, as perfbench/cells24.regions lays them out.
+        names = [f"c{row}{col}" for row in range(6) for col in range(4)][:count]
+        series = IntensitySeries(regions=tuple(names), frames=np.array([1, 2]),
+                                 values=np.ones((2, count)))
+        svg = ET.fromstring(render_series_svg(series))
+        assert float(svg.get("height")) == height
+        assert svg.get("viewBox") == f"0 0 640 {height}"
+        legend = {el.text: float(el.get("y")) for el in svg.iter() if el.tag.endswith("text")}
+        assert all(0 < legend[name] < height for name in names)
+
     def test_unprintable_region_name_rejected(self):
         message = ("region name 'mo\\x01uth' must be non-empty printable text "
                    "with no comma and no leading or trailing space")

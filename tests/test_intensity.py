@@ -244,6 +244,24 @@ class TestIntensitySeries:
                                             "increasing$"):
             IntensitySeries(regions=("a",), frames=np.array(frames), values=np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("frames", [
+        np.array([1.5, 2.0]),
+        np.array([np.nan, 2.0]),
+        np.array([2**63], dtype=np.uint64),
+    ], ids=["fractional", "nan", "uint64-past-int64"])
+    def test_frames_must_be_int64_integers(self, frames):
+        # The CSV writer would truncate a fractional frame and fail on a NaN one.
+        with pytest.raises(DataError, match="^frame numbers must be integers that fit in int64, "
+                                            f"got {frames.dtype}$"):
+            IntensitySeries(regions=("a",), frames=frames, values=np.zeros((len(frames), 1)))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+    def test_integer_frames_stored_as_int64(self, dtype):
+        frames = np.array([1, 2**31 - 1], dtype=dtype)
+        series = IntensitySeries(regions=("a",), frames=frames, values=np.zeros((2, 1)))
+        assert series.frames.dtype == np.int64
+        assert series.frames.tolist() == [1, 2**31 - 1]
+
     def test_column_lookup(self):
         series = IntensitySeries(
             regions=("a", "b"),
