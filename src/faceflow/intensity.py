@@ -6,17 +6,24 @@ measures every frame against frame 0 (the neutral face); consecutive mode
 measures frame-to-frame motion. The finished series is optionally divided by
 the image diagonal, once, so its values are resolution-independent.
 
-Flow is solved only on the regions' bounding box grown by the flow's
-support halo (see flow.flow_support), the part of the frame the regions'
-flow depends on. Work that is the same for every pair is done once per run:
-at one pyramid level the reference frame is smoothed once (smoothing is the
-first step of the single-level solve, so smoothing first and solving with
-sigma 0 is the same arithmetic), and each region's mask is cropped to the
-region's own bounding box, on which every pair's flow is reduced. Frame pairs
-are independent, so they are solved on a thread pool with one worker per
-available CPU; numpy and scipy release the interpreter lock in the flow
-solve. Each pair's row is stored by its index, so the series is identical
-whatever the worker count.
+Flow is solved only on flow boxes: a box is the bounding box of some region
+cells grown by the flow's support halo (see flow.flow_support), the part of
+the frame the cells' flow depends on. Claimed cells that share an edge form
+a group, and each group gets its own box when the group boxes together are
+smaller than the one box around all regions; otherwise that one box is
+solved. A region inside one box is reduced on a view of that box's flow; a
+region whose cells lie in several groups is pasted from their boxes into its
+own bounding box first, so its pixels are reduced in the same row-major
+order either way.
+
+Work that is the same for every pair is done once per run: at one pyramid
+level each box's reference crop is smoothed once (smoothing is the first step
+of the single-level solve, so smoothing first and solving with sigma 0 is the
+same arithmetic), and the boxes, the region crops and their places are fixed
+before the first pair. Frame pairs are independent, so they are solved on a
+thread pool with one worker per available CPU; numpy and scipy release the
+interpreter lock in the flow solve. Each pair's row is stored by its index,
+so the series is identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -72,8 +79,8 @@ class IntensitySeries:
     """Mean displacement magnitude per region (columns) per frame (rows).
 
     frames[i] is the frame number row i describes, stored as int64; counts[i, j]
-    is the number of valid flow pixels behind values[i, j] (None when loaded
-    from CSV).
+    is the number of valid flow pixels behind values[i, j]. A series loaded
+    from CSV has no counts and "unknown" units and mode.
     """
 
     regions: tuple[str, ...]
@@ -110,6 +117,15 @@ class IntensitySeries:
                             "frame numbers must be strictly increasing")
         _check_magnitudes(self.values,
                           lambda i, j: f"frame {self.frames[i]}, region {self.regions[j]!r}")
+        if self.counts is not None:
+            if self.counts.shape != self.values.shape:
+                raise ConfigError("counts must have the shape of values")
+            if self.counts.dtype.kind not in "iu" or (self.counts < 0).any():
+                raise DataError("valid-pixel counts must be integers >= 0")
+        if self.units not in ("normalized", "pixels", "unknown"):
+            raise ConfigError(f"units must be 'normalized', 'pixels' or 'unknown', got {self.units!r}")
+        if self.mode not in ("reference", "consecutive", "unknown"):
+            raise ConfigError(f"mode must be 'reference', 'consecutive' or 'unknown', got {self.mode!r}")
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.regions:
@@ -174,35 +190,54 @@ def intensity_series(
     union = np.zeros((seq.height, seq.width), dtype=bool)
     for mask in masks:
         union |= mask
-    # Checks the fit with the real sigma, before anything is smoothed.
-    box = flow_support(union, params)
-    # Each region is reduced on its own bounding box inside the flow box.
-    regions = []
-    for mask in masks:
-        mask = mask[box]
-        inner = bounding_box(mask)
-        regions.append((inner, mask[inner]))
+    boxes = _flow_boxes(grid, region_map, union, params)
+    # Each region is reduced on its own bounding box: a view of the one box
+    # that owns all its pixels, or else a canvas its pieces are pasted into.
+    views: list[list] = [[] for _ in boxes]  # per box: (region, its place in the box, mask)
+    pastes: list[list] = [[] for _ in boxes]  # per box: (region, piece's place on canvas, in box)
+    canvases: dict[int, np.ndarray] = {}  # region: its mask on its own bounding box
+    for j, mask in enumerate(masks):
+        pieces = [(k, bounding_box(mask & owned)) for k, (_, owned) in enumerate(boxes)
+                  if (mask & owned).any()]
+        if len(pieces) == 1:
+            (k, inner), = pieces
+            views[k].append((j, _shift(inner, boxes[k][0]), mask[inner]))
+        else:
+            outer = bounding_box(mask)
+            canvases[j] = mask[outer]
+            for k, inner in pieces:
+                pastes[k].append((j, _shift(inner, outer), _shift(inner, boxes[k][0])))
 
     # At one level the frames are smoothed here, the reference only once; a
     # pyramid smooths inside pyramidal_lk, after its warp.
     one_level = params.pyramid_levels == 1
     solve_params = replace(params, smooth_sigma=0.0) if one_level else params
 
-    def crop(t: int) -> Image:
+    def crop(t: int, box: tuple[slice, slice]) -> Image:
         frame = Image(seq[t].pixels[box])
         return gaussian_smooth(frame, params.smooth_sigma) if one_level else frame
 
-    reference = crop(0) if mode == "reference" else None
+    references = [crop(0, box) for box, _ in boxes] if mode == "reference" else None
 
     def pair_row(t: int) -> list[tuple[float, int]]:
-        first = reference if mode == "reference" else crop(t - 1)
-        flow = pyramidal_lk(first, crop(t), solve_params)
-        return [
-            region_mean_magnitude(
-                FlowField(u=flow.u[inner], v=flow.v[inner], valid=flow.valid[inner]), mask
-            )
-            for inner, mask in regions
-        ]
+        row = [None] * len(names)
+        pasted = {j: FlowField(u=np.zeros(mask.shape), v=np.zeros(mask.shape),
+                               valid=np.zeros(mask.shape, dtype=bool))
+                  for j, mask in canvases.items()}
+        for k, (box, _) in enumerate(boxes):
+            first = references[k] if references is not None else crop(t - 1, box)
+            flow = pyramidal_lk(first, crop(t, box), solve_params)
+            for j, inner, mask in views[k]:
+                row[j] = region_mean_magnitude(
+                    FlowField(u=flow.u[inner], v=flow.v[inner], valid=flow.valid[inner]), mask
+                )
+            for j, to, source in pastes[k]:
+                canvas = pasted[j]
+                canvas.u[to], canvas.v[to] = flow.u[source], flow.v[source]
+                canvas.valid[to] = flow.valid[source]
+        for j, canvas in pasted.items():
+            row[j] = region_mean_magnitude(canvas, canvases[j])
+        return row
 
     n = len(seq)
     values = np.zeros((n - 1, len(names)), dtype=np.float64)
@@ -223,6 +258,52 @@ def intensity_series(
         mode=mode,
         counts=counts,
     )
+
+
+def _flow_boxes(
+    grid: GridSpec, region_map: RegionMap, union: np.ndarray, params: FlowParams
+) -> list[tuple[tuple[slice, slice], np.ndarray]]:
+    """The boxes each pair is solved on, each with the mask of the region pixels it owns.
+
+    One box per group of claimed cells joined by shared edges, when their
+    areas sum to less than the one box around all regions (union, a mask);
+    otherwise that one box. A pyramid's boxes are whole frames, so it keeps one.
+    """
+    # Checks the fit with the real sigma, before anything is smoothed.
+    whole = flow_support(union, params)
+    groups = [region_mask(grid, RegionMap({"group": cells}), "group")
+              for cells in _cell_groups(region_map)]
+    boxes = [flow_support(group, params) for group in groups]
+    if sum(_area(box) for box in boxes) < _area(whole):
+        return list(zip(boxes, groups))
+    return [(whole, union)]
+
+
+def _cell_groups(region_map: RegionMap) -> list[frozenset[tuple[int, int]]]:
+    """Claimed cells split into groups joined by shared edges, ordered by first cell."""
+    ungrouped = set().union(*region_map.regions.values())
+    groups = []
+    while ungrouped:
+        frontier = [min(ungrouped)]
+        group = set(frontier)
+        ungrouped -= group
+        while frontier:
+            row, col = frontier.pop()
+            near = {(row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1)} & ungrouped
+            ungrouped -= near
+            group |= near
+            frontier.extend(near)
+        groups.append(frozenset(group))
+    return groups
+
+
+def _area(box: tuple[slice, slice]) -> int:
+    return (box[0].stop - box[0].start) * (box[1].stop - box[1].start)
+
+
+def _shift(inner: tuple[slice, slice], outer: tuple[slice, slice]) -> tuple[slice, slice]:
+    """Frame rows and columns inner, relative to the corner of outer."""
+    return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
 
 
 def _available_cpus() -> int:

@@ -20,6 +20,7 @@ from faceflow import (
     Image,
     IntensitySeries,
     default_region_map,
+    default_region_text,
     displacement_magnitude,
     intensity_series,
     make_grid,
@@ -262,6 +263,26 @@ class TestIntensitySeries:
         assert series.frames.dtype == np.int64
         assert series.frames.tolist() == [1, 2**31 - 1]
 
+    @pytest.mark.parametrize("counts, error, message", [
+        (np.array([[-5.5]]), ConfigError, "counts must have the shape of values"),
+        (np.array([[3], [-1]]), DataError, "valid-pixel counts must be integers >= 0"),
+        (np.array([[3.0], [1.0]]), DataError, "valid-pixel counts must be integers >= 0"),
+    ], ids=["shape", "negative", "float"])
+    def test_counts_checked(self, counts, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            IntensitySeries(regions=("a",), frames=np.array([1, 2]), values=np.zeros((2, 1)),
+                            counts=counts)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("units", "bogus", "units must be 'normalized', 'pixels' or 'unknown', got 'bogus'"),
+        ("mode", "sideways",
+         "mode must be 'reference', 'consecutive' or 'unknown', got 'sideways'"),
+    ], ids=["units", "mode"])
+    def test_units_and_mode_checked(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            IntensitySeries(regions=("a",), frames=np.array([1]), values=np.zeros((1, 1)),
+                            **{field: value})
+
     def test_column_lookup(self):
         series = IntensitySeries(
             regions=("a", "b"),
@@ -334,6 +355,9 @@ class TestConcurrentPairs:
             parse_region_map("", rows=2, cols=2)
 
 
+CELLS24 = "".join(f"region c{r}{c} = r{r}c{c}\n" for r in range(6) for c in range(4))
+
+
 def full_frame_series(seq, grid, rmap, params, mode):
     """Flow on whole frames, then each region's normalized mean and count."""
     masks = [region_mask(grid, rmap, name) for name in rmap.names()]
@@ -358,6 +382,9 @@ class TestFlowBox:
         # The grown box (12 rows at the top edge) is shorter than a window
         # side, so the support is stretched to 15 rows.
         "thin edge region": (96, 72, 72, 4, "region top = r0c1\n", FlowParams()),
+        # Four group boxes (53.6% of the frame) beat the one box (75.8%);
+        # cheeks has a cell in two of them.
+        "default map 320x240": (320, 240, 6, 4, default_region_text(), FlowParams()),
     }
 
     @pytest.mark.parametrize("mode", ["reference", "consecutive"])
@@ -389,6 +416,28 @@ class TestFlowBox:
                          FlowParams(pyramid_levels=levels))
         assert shapes == [(shape, shape)] * 3
 
+    @pytest.mark.parametrize("text, levels, shapes", [
+        (None, 1, [(182, 342), (102, 171), (102, 171), (102, 342)]),
+        (CELLS24, 1, [(480, 640)]),
+        (None, 2, [(480, 640)]),
+    ], ids=["default-map", "cells24", "pyramid"])
+    def test_one_solve_per_group_box(self, monkeypatch, text, levels, shapes):
+        # 640x480 default map: eyes, the two cheek cells and mouth, each grown
+        # by the 11-pixel halo. One group, or a pyramid, keeps the whole frame.
+        solved = []
+        solve = faceflow.intensity.pyramidal_lk
+
+        def recording_solve(i1, i2, p):
+            solved.append(i1.pixels.shape)
+            return solve(i1, i2, p)
+
+        monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(faceflow.intensity, "pyramidal_lk", recording_solve)
+        seq, _ = translate_sequence(make_texture(640, 480, seed=1), 0.3, 0.0, 3)
+        rmap = default_region_map() if text is None else parse_region_map(text)
+        intensity_series(seq, make_grid(640, 480), rmap, FlowParams(pyramid_levels=levels))
+        assert solved == shapes * 2
+
     def test_oversized_window_names_the_frame(self):
         seq, _ = translate_sequence(make_texture(96, 72, seed=0), 0.3, 0.0, 3)
         grid = make_grid(96, 72, 72, 4)
@@ -397,24 +446,45 @@ class TestFlowBox:
             intensity_series(seq, grid, rmap, FlowParams(window_radius=40))
 
 
-CELLS24 = "".join(f"region c{r}{c} = r{r}c{c}\n" for r in range(6) for c in range(4))
+def box_area(box):
+    return (box[0].stop - box[0].start) * (box[1].stop - box[1].start)
 
 
 def whole_box_series(seq, grid, rmap, params, mode):
-    """Raw crops to the flow box, pyramidal_lk with params, ndarray.mean over box-sized masks."""
+    """Raw crops to the flow boxes, pyramidal_lk with params, ndarray.mean of each region.
+
+    The boxes are found apart from intensity_series: one per 4-connected
+    component of the region pixels, labelled by scipy, when their areas sum
+    to less than the one box around all regions, else that box. Each region
+    pixel's flow is read from the box of the component that holds it.
+    """
+    from scipy.ndimage import label
+
     masks = [region_mask(grid, rmap, name) for name in rmap.names()]
-    box = flow_support(np.logical_or.reduce(masks), params)
+    union = np.logical_or.reduce(masks)
+    labels, n_groups = label(union)
+    groups = [labels == i for i in range(1, n_groups + 1)]
+    boxes = [flow_support(group, params) for group in groups]
+    whole = flow_support(union, params)
+    if sum(map(box_area, boxes)) >= box_area(whole):
+        boxes, groups = [whole], [union]
     diag = np.hypot(seq.width, seq.height)
     values = np.zeros((len(seq) - 1, len(masks)))
     counts = np.zeros((len(seq) - 1, len(masks)), dtype=np.int64)
     for t in range(1, len(seq)):
         first = seq[0] if mode == "reference" else seq[t - 1]
-        flow = pyramidal_lk(Image(first.pixels[box]), Image(seq[t].pixels[box]), params)
+        magnitude = np.zeros((seq.height, seq.width))
+        valid = np.zeros((seq.height, seq.width), dtype=bool)
+        for box, group in zip(boxes, groups):
+            flow = pyramidal_lk(Image(first.pixels[box]), Image(seq[t].pixels[box]), params)
+            owned = group[box]
+            magnitude[box][owned] = np.hypot(flow.u, flow.v)[owned]
+            valid[box][owned] = flow.valid[owned]
         for j, mask in enumerate(masks):
-            sel = mask[box] & flow.valid
+            sel = mask & valid
             counts[t - 1, j] = sel.sum()
             if counts[t - 1, j]:
-                values[t - 1, j] = np.hypot(flow.u[sel], flow.v[sel]).mean() / diag
+                values[t - 1, j] = magnitude[sel].mean() / diag
     return values, counts
 
 
@@ -469,3 +539,25 @@ class TestRunWideWork:
         assert np.array_equal(series.column("empty"), np.zeros(3))
         assert np.array_equal(series.counts[:, 1], np.zeros(3, dtype=np.int64))
         assert series.column("a").all()
+
+    @pytest.mark.parametrize("cells, solves", [
+        ({"a": {(1, 1)}, "b": {(4, 2)}, "empty": set()}, 2 * 3),
+        ({"empty": set()}, 0),
+    ], ids=["two-groups", "no-cells"])
+    def test_empty_region_beside_group_boxes(self, monkeypatch, cells, solves):
+        # Two one-cell groups on 160x120 take two boxes; a map with no cells takes none.
+        solved = []
+        solve = faceflow.intensity.pyramidal_lk
+
+        def recording_solve(*args):
+            solved.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(faceflow.intensity, "pyramidal_lk", recording_solve)
+        seq, _ = translate_sequence(make_texture(160, 120, seed=5), 0.4, 0.0, 4)
+        rmap = RegionMap({name: frozenset(c) for name, c in cells.items()})
+        series = intensity_series(seq, make_grid(160, 120), rmap)
+        assert len(solved) == solves
+        assert np.array_equal(series.column("empty"), np.zeros(3))
+        assert not series.counts[:, -1].any()
+        assert series.values[:, :-1].all()
