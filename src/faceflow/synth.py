@@ -10,7 +10,7 @@ exactly. Global translations exercise the flow solver directly; region-bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,12 +95,25 @@ class GroundTruth:
 
 
 def _render(base: Image, truth: GroundTruth, n: int) -> FrameSequence:
-    """Frame 0 is base; frame t samples base bilinearly at each pixel minus truth.field(t)."""
-    ys, xs = np.indices(base.pixels.shape, dtype=np.float64)
+    """Frame 0 is base; frame t samples base bilinearly at each pixel minus truth.field(t).
+
+    Only the pixels that some region can move are sampled; the rest copy
+    frame 0, which is what sampling them at zero displacement gives bit for bit.
+    """
+    if truth.weights is None:
+        moving = np.arange(base.pixels.size)
+    else:
+        moving = np.flatnonzero(np.any([w != 0 for w in truth.weights.values()], axis=0))
+    # The moving pixels as one 1 x len(moving) row, so field() sums them as it would in place.
+    weights = {name: w.reshape(1, -1)[:, moving] for name, w in (truth.weights or {}).items()}
+    row = replace(truth, width=moving.size, height=1, weights=weights)
+    ys, xs = (c.astype(np.float64) for c in np.divmod(moving, base.width))
     frames = [base]
     for t in range(1, n):
-        du, dv = truth.field(t)
-        frames.append(Image(sample_bilinear(base.pixels, xs - du, ys - dv)))
+        du, dv = row.field(t)
+        pixels = base.pixels.copy()
+        pixels.reshape(-1)[moving] = sample_bilinear(base.pixels, xs - du[0], ys - dv[0])
+        frames.append(Image(pixels))
     return FrameSequence(tuple(frames))
 
 
@@ -161,6 +174,27 @@ def _profile(n: int, onset: int, apex: int, offset: int) -> np.ndarray:
     return np.interp(t, [onset, apex, offset], [0.0, 1.0, 0.0])
 
 
+def _feather(mask: np.ndarray) -> np.ndarray:
+    """Weight min(d / 4 px, 1), d the distance to the nearest pixel outside mask.
+
+    Pixels beyond the frame edge do not count as outside. d**2 is the least
+    dy**2 + dx**2 over offsets that land outside the mask; from 16 on the
+    weight is 1, so no farther offset is tried.
+    """
+    h, w = mask.shape
+    reach = int(_FEATHER_PX)
+    full = reach * reach
+    outside = np.pad(~mask, reach, constant_values=False)
+    dist2 = np.where(mask, full, 0)
+    for dy in range(1 - reach, reach):
+        for dx in range(1 - reach, reach):
+            d2 = dy * dy + dx * dx
+            if 0 < d2 < full:
+                near = outside[reach + dy : reach + dy + h, reach + dx : reach + dx + w]
+                dist2[near & (dist2 > d2)] = d2
+    return np.minimum(np.sqrt(dist2) / _FEATHER_PX, 1.0)
+
+
 def synth_expression(
     width: int,
     height: int,
@@ -174,8 +208,10 @@ def synth_expression(
 
     Each active region's pixels shift horizontally by amplitude * profile(t),
     feathered to zero within 4 px of the region boundary so the displacement
-    field stays smooth. Pixels outside the active regions never move: the
-    ground truth is exactly zero there and those frame pixels equal frame 0.
+    field stays smooth. The frame edge is not a region boundary: a region
+    that touches it moves at full amplitude up to the edge. Pixels outside
+    the active regions never move: the ground truth is exactly zero there and
+    those frame pixels equal frame 0.
     """
     if n < 2:
         raise ConfigError(f"need at least 2 frames, got {n}")
@@ -188,8 +224,6 @@ def synth_expression(
     limit = cell_min / 4.0
     weights: dict[str, np.ndarray] = {}
     profiles: dict[str, np.ndarray] = {}
-    from scipy.ndimage import distance_transform_edt  # here: commands without it skip scipy
-
     for motion in motions:
         if motion.region in weights:
             raise ConfigError(f"region {motion.region!r} given twice")
@@ -202,9 +236,7 @@ def synth_expression(
                 f"amplitude {motion.amplitude:g} px must stay under "
                 f"cell size / 4 = {limit:g} px"
             )
-        mask = region_mask(grid, region_map, motion.region)
-        depth = distance_transform_edt(mask)
-        weights[motion.region] = np.minimum(depth / _FEATHER_PX, 1.0)
+        weights[motion.region] = _feather(region_mask(grid, region_map, motion.region))
         profiles[motion.region] = motion.amplitude * _profile(
             n, motion.onset, motion.apex, motion.offset
         )

@@ -1121,6 +1121,19 @@ class TestScipyLoadedOnlyByKernels:
         assert proc.stdout == "[]\n"
         assert (out / "report.json").exists() and (out / "plot.svg").exists()
 
+    def test_synth_leaves_scipy_unloaded(self, tmp_path):
+        proc = _run_fresh(f"""
+            import contextlib, io, sys
+            from faceflow.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["synth", "--out", {str(tmp_path)!r}, "--width", "64", "--height", "48",
+                             "--count", "6", "--active", "mouth:1.0:1:3:5"]) == 0
+            print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert len(list(tmp_path.glob("frame_*.pgm"))) == 6
+
     def test_series_imports_scipy_inside_the_pool(self, mouth_run, tmp_path):
         proc = _run_fresh(f"""
             import sys

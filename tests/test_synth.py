@@ -12,10 +12,13 @@ from faceflow import (
     default_region_map,
     make_grid,
     make_texture,
+    parse_region_map,
     region_mask,
     synth_expression,
     translate_sequence,
 )
+from faceflow.flow import sample_bilinear
+from faceflow.synth import _feather
 
 
 class TestMakeTexture:
@@ -216,6 +219,93 @@ class TestSynthExpression:
         grid = make_grid(80, 60, 6, 4)
         with pytest.raises(DataError, match="grid is 80x60, requested frames are 160x120"):
             synth_expression(160, 120, grid, self.rmap, (), 5, seed=0)
+
+
+def _whole_frame_render(seq, truth):
+    """Every frame resampled at every pixel, through the full-frame field."""
+    base = seq[0].pixels
+    ys, xs = np.indices(base.shape, dtype=np.float64)
+    frames = [base]
+    for t in range(1, len(seq)):
+        du, dv = truth.field(t)
+        frames.append(sample_bilinear(base, xs - du, ys - dv))
+    return frames
+
+
+class TestRenderMatchesWholeFrame:
+    """Sampling only the pixels that can move gives the whole-frame render bit for bit."""
+
+    CELLS24 = "\n".join(f"region c{r}{c} = r{r}c{c}" for r in range(6) for c in range(4))
+
+    @pytest.mark.parametrize(
+        "width, height, text, motions",
+        [
+            pytest.param(320, 240, None, [("mouth", 2.0, 2, 8, 14), ("cheeks", 1.0, 3, 9, 15)],
+                         id="default map"),
+            pytest.param(160, 120, CELLS24, [("c41", 2.5, 1, 6, 12), ("c12", 1.33, 3, 9, 15),
+                                             ("c11", 0.5, 0, 4, 10)],
+                         id="cells24"),
+            # The L's bounding box holds all of "b".
+            pytest.param(160, 120, "region a = r0c0, r1c0, r1c1\nregion b = r0c1",
+                         [("a", 3.0, 1, 5, 9), ("b", 1.5, 2, 6, 10)],
+                         id="overlapping boxes"),
+            pytest.param(160, 120, None, [("mouth", 0.0, 2, 8, 14), ("cheeks", 1.0, 3, 9, 15)],
+                         id="amplitude 0"),
+        ],
+    )
+    def test_expression(self, width, height, text, motions):
+        grid = make_grid(width, height)
+        rmap = default_region_map() if text is None else parse_region_map(text)
+        seq, truth = synth_expression(
+            width, height, grid, rmap, [RegionMotion(*m) for m in motions], 16, seed=3
+        )
+        for frame, expected in zip(seq, _whole_frame_render(seq, truth), strict=True):
+            assert np.array_equal(frame.pixels, expected)
+
+    def test_translation(self):
+        seq, truth = translate_sequence(make_texture(48, 40, seed=4), 0.37, -0.61, 8)
+        for frame, expected in zip(seq, _whole_frame_render(seq, truth), strict=True):
+            assert np.array_equal(frame.pixels, expected)
+
+
+class TestFeather:
+    def test_matches_scipy_distance_transform(self):
+        from scipy.ndimage import distance_transform_edt
+
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            h, w = (int(v) for v in rng.integers(3, 40, size=2))
+            mask = np.zeros((h, w), dtype=bool)
+            for _ in range(int(rng.integers(1, 5))):
+                y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+                mask[y0 : int(rng.integers(y0, h)) + 1, x0 : int(rng.integers(x0, w)) + 1] = True
+            if mask.all():
+                mask[int(rng.integers(0, h)), int(rng.integers(0, w))] = False
+            expected = np.minimum(distance_transform_edt(mask) / 4.0, 1.0)
+            assert np.array_equal(_feather(mask), expected)
+
+    def test_frame_edge_is_not_a_boundary(self):
+        # r0c0 of a 2x2 grid on 64x48: the top and left edges are the frame's.
+        grid = make_grid(64, 48, rows=2, cols=2)
+        motion = RegionMotion("corner", 1.0, onset=1, apex=2, offset=3)
+        _, truth = synth_expression(
+            64, 48, grid, parse_region_map("region corner = r0c0"), (motion,), 4, seed=0
+        )
+        weight = truth.weights["corner"]
+        assert np.all(weight[:20, :28] == 1.0)
+        assert np.array_equal(weight[0, 28:32], [1.0, 0.75, 0.5, 0.25])
+        assert np.array_equal(weight[20:24, 0], [1.0, 0.75, 0.5, 0.25])
+        assert np.all(weight[24:, :] == 0.0) and np.all(weight[:, 32:] == 0.0)
+
+    def test_region_covering_the_frame_is_not_feathered(self):
+        grid = make_grid(32, 24, rows=1, cols=1)
+        motion = RegionMotion("all", 2.0, onset=1, apex=3, offset=5)
+        seq, truth = synth_expression(
+            32, 24, grid, parse_region_map("region all = r0c0"), (motion,), 6, seed=0
+        )
+        assert np.all(truth.weights["all"] == 1.0)
+        # The whole texture shifts 2 px right at the apex, replicating the left column.
+        assert np.array_equal(seq[3].pixels[:, 2:], seq[0].pixels[:, :-2])
 
 
 class TestRegionMotion:
