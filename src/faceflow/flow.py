@@ -10,7 +10,8 @@ with window sums taken over the (2r+1)^2 neighborhood clipped to the image.
 The solve divides every sum by (2r+1)^2, which leaves (u, v) unchanged.
 Pixels whose structure tensor is near-singular (aperture problem, flat
 patches) are marked invalid. A coarse-to-fine pyramid extends the usable
-displacement range beyond the ~1 px linearization limit.
+displacement range beyond the ~1 px linearization limit; it can solve its
+finest level only around given groups of pixels.
 """
 
 from __future__ import annotations
@@ -272,10 +273,14 @@ def sample_bilinear(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nd
     return top
 
 
-def _warp_by_flow(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _warp_by_flow(
+    a: np.ndarray, u: np.ndarray, v: np.ndarray, box: tuple[slice, slice]
+) -> np.ndarray:
+    # a sampled at each pixel (x, y) of box plus (u, v), given on box; the
+    # shifted points may lie anywhere in a.
     h, w = a.shape
-    return sample_bilinear(a, np.arange(w, dtype=np.float64) + u,
-                           np.arange(h, dtype=np.float64)[:, None] + v)
+    return sample_bilinear(a, np.arange(w, dtype=np.float64)[box[1]] + u,
+                           np.arange(h, dtype=np.float64)[box[0], None] + v)
 
 
 def _box_downsample(a: np.ndarray) -> np.ndarray:
@@ -285,11 +290,14 @@ def _box_downsample(a: np.ndarray) -> np.ndarray:
     return 0.25 * (t[0::2, 0::2] + t[0::2, 1::2] + t[1::2, 0::2] + t[1::2, 1::2])
 
 
-def _upsample_flow(f: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    # Nearest-neighbor 2x upsampling; displacements double with resolution.
-    ys = np.minimum(np.arange(shape[0]) // 2, f.shape[0] - 1)
-    xs = np.minimum(np.arange(shape[1]) // 2, f.shape[1] - 1)
-    up = f[np.ix_(ys, xs)]
+def _upsample_flow(
+    f: np.ndarray, shape: tuple[int, int], box: tuple[slice, slice]
+) -> np.ndarray:
+    # Nearest-neighbor 2x upsampling to shape, on box only; displacements
+    # double with resolution.
+    ys = np.minimum(np.arange(shape[0])[box[0]] // 2, f.shape[0] - 1)
+    xs = np.minimum(np.arange(shape[1])[box[1]] // 2, f.shape[1] - 1)
+    up = f.take(ys, axis=0).take(xs, axis=1)
     up *= 2.0
     return up
 
@@ -360,12 +368,23 @@ def flow_support(region: np.ndarray, p: FlowParams) -> tuple[slice, slice]:
     return grow(rows, height), grow(cols, width)
 
 
-def pyramidal_lk(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowField:
+def pyramidal_lk(
+    i1: Image, i2: Image, p: FlowParams = FlowParams(), *, groups: list[np.ndarray] | None = None
+) -> FlowField:
     """Coarse-to-fine flow for displacements beyond the ~1 px single-level range.
 
     Each level solves for the residual motion left after warping i2 by the
     upsampled coarser flow. With pyramid_levels = 1 it is the single-level
     solve, which lucas_kanade also runs.
+
+    groups, boolean (height, width) masks, limits the finest level to the
+    pixels they hold. Every coarser level is still solved on the whole
+    frames. The finest level is solved on each group's single-level support
+    box alone (flow_support with pyramid_levels = 1), its warp sampling the
+    whole of i2 at x + u. The field is whole-frame: each group's pixels get
+    the flow of its box, which is the whole-frame flow up to rounding in the
+    window sums, and every other pixel is invalid with u = v = 0. A pixel in
+    several groups takes the last one's flow.
     """
     _require_same_shape(i1, i2)
     _check_fits(i1.width, i1.height, p)
@@ -375,18 +394,62 @@ def pyramidal_lk(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowFiel
         a1, a2 = levels[-1]
         levels.append((_box_downsample(a1), _box_downsample(a2)))
 
-    u, v, valid = _solve_lk(*levels.pop(), p)
-    for a1, a2 in reversed(levels):
-        u = _upsample_flow(u, a1.shape)
-        v = _upsample_flow(v, a1.shape)
-        if u.any() or v.any():
-            a2 = _warp_by_flow(a2, u, v)
-        du, dv, valid = _solve_lk(a1, a2, p)
-        u += du
-        v += dv
+    u = v = None
+    for a1, a2 in reversed(levels if groups is None else levels[1:]):
+        u, v, valid = _refine(a1, a2, u, v, p, (slice(None), slice(None)))
+    if groups is not None:
+        return _refine_groups(*levels[0], u, v, p, groups)
     if p.pyramid_levels > 1:
-        # Coarser estimates carry through pixels the finest level rejects.
-        invalid = ~valid
-        u[invalid] = 0.0
-        v[invalid] = 0.0
+        _zero_invalid(u, v, valid)
     return FlowField(u=u, v=v, valid=valid)
+
+
+def _zero_invalid(u: np.ndarray, v: np.ndarray, valid: np.ndarray) -> None:
+    # Coarser estimates carry through pixels the finest level rejects.
+    invalid = ~valid
+    u[invalid] = 0.0
+    v[invalid] = 0.0
+
+
+def _refine(
+    a1: np.ndarray, a2: np.ndarray, u: np.ndarray | None, v: np.ndarray | None,
+    p: FlowParams, box: tuple[slice, slice],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level's (u, v, valid) on box: the coarser level's flow, upsampled,
+    plus the residual left after warping a2 by it. At the coarsest level u
+    and v are None and the flow is solved directly.
+    """
+    second = a2[box]
+    if u is None:
+        return _solve_lk(a1[box], second, p)
+    u = _upsample_flow(u, a1.shape, box)
+    v = _upsample_flow(v, a1.shape, box)
+    if u.any() or v.any():
+        second = _warp_by_flow(a2, u, v, box)
+    du, dv, valid = _solve_lk(a1[box], second, p)
+    du += u
+    dv += v
+    return du, dv, valid
+
+
+def _refine_groups(
+    a1: np.ndarray, a2: np.ndarray, u: np.ndarray | None, v: np.ndarray | None,
+    p: FlowParams, groups: list[np.ndarray],
+) -> FlowField:
+    """_refine on each group's single-level support box, kept on the group's pixels.
+
+    Every other pixel is invalid with u = v = 0.
+    """
+    field = FlowField(u=np.zeros(a1.shape), v=np.zeros(a1.shape),
+                      valid=np.zeros(a1.shape, dtype=bool))
+    one_level = replace(p, pyramid_levels=1)
+    for group in groups:
+        if group.shape != a1.shape:
+            raise DataError(f"group mask is {group.shape[1]}x{group.shape[0]}, "
+                            f"frames are {a1.shape[1]}x{a1.shape[0]}")
+        box = flow_support(group, one_level)
+        du, dv, ok = _refine(a1, a2, u, v, p, box)
+        _zero_invalid(du, dv, ok)
+        for out, solved in zip((field.u, field.v, field.valid), (du, dv, ok)):
+            np.copyto(out[box], solved, where=group[box])
+    return field

@@ -7,14 +7,18 @@ measures frame-to-frame motion. The finished series is optionally divided by
 the image diagonal, once, so its values are resolution-independent.
 
 Flow is solved only on flow boxes: a box is the bounding box of some region
-cells grown by the flow's support halo (see flow.flow_support), the part of
-the frame the cells' flow depends on. Claimed cells that share an edge form
-a group, and each group gets its own box when the group boxes together are
-smaller than the one box around all regions; otherwise that one box is
-solved. A region inside one box is reduced on a view of that box's flow; a
-region whose cells lie in several groups is pasted from their boxes into its
-own bounding box first, so its pixels are reduced in the same row-major
-order either way.
+cells grown by the single-level flow's support halo (see flow.flow_support),
+the part of the frame the cells' flow depends on. Claimed cells that share an
+edge form a group, and each group gets its own box when the group boxes
+together are smaller than the one box around all regions; otherwise that one
+box is solved. At one pyramid level each box is solved on its own crops. A
+pyramid is called once per pair on the whole frames with the groups' masks:
+it solves its coarser levels on the whole frames and its finest level on each
+box, where the single-level halo holds because the warp samples the whole
+second frame. A region inside one box is reduced on a view of that box's
+flow; a region whose cells lie in several groups is pasted from their boxes
+into its own bounding box first, so its pixels are reduced in the same
+row-major order either way.
 
 Work that is the same for every pair is done once per run: at one pyramid
 level each box's reference crop is smoothed once (smoothing is the first step
@@ -159,8 +163,12 @@ def region_mean_magnitude(flow: FlowField, mask: np.ndarray) -> tuple[float, int
     count = np.count_nonzero(selected)
     if count == 0:
         return 0.0, 0
+    if count == selected.size:  # the same elements in the same row-major order, ungathered
+        magnitudes = np.hypot(flow.u, flow.v).ravel()
+    else:
+        magnitudes = np.hypot(flow.u[selected], flow.v[selected])
     # The sum divided by the count is what ndarray.mean computes.
-    return float(np.add.reduce(np.hypot(flow.u[selected], flow.v[selected])) / count), count
+    return float(np.add.reduce(magnitudes) / count), count
 
 
 def intensity_series(
@@ -208,25 +216,36 @@ def intensity_series(
             for k, inner in pieces:
                 pastes[k].append((j, _shift(inner, outer), _shift(inner, boxes[k][0])))
 
-    # At one level the frames are smoothed here, the reference only once; a
-    # pyramid smooths inside pyramidal_lk, after its warp.
+    # At one level the frames are smoothed here, the reference only once, and
+    # each box is solved on its own crops. A pyramid solves its coarse levels
+    # on the whole frames and smooths inside pyramidal_lk, after its warp, so
+    # it takes the groups and is called once per pair.
     one_level = params.pyramid_levels == 1
-    solve_params = replace(params, smooth_sigma=0.0) if one_level else params
+    solve_params = replace(params, smooth_sigma=0.0)
 
     def crop(t: int, box: tuple[slice, slice]) -> Image:
-        frame = Image(seq[t].pixels[box])
-        return gaussian_smooth(frame, params.smooth_sigma) if one_level else frame
+        return gaussian_smooth(Image(seq[t].pixels[box]), params.smooth_sigma)
 
-    references = [crop(0, box) for box, _ in boxes] if mode == "reference" else None
+    references = [crop(0, box) for box, _ in boxes] if one_level and mode == "reference" else None
+
+    def box_flows(t: int):
+        """Pair t's flow on each box, in box order; at one level each is solved when asked for."""
+        if one_level:
+            for k, (box, _) in enumerate(boxes):
+                first = references[k] if references is not None else crop(t - 1, box)
+                yield pyramidal_lk(first, crop(t, box), solve_params)
+        elif boxes:
+            first = seq[0] if mode == "reference" else seq[t - 1]
+            flow = pyramidal_lk(first, seq[t], params, groups=[owned for _, owned in boxes])
+            for box, _ in boxes:
+                yield FlowField(u=flow.u[box], v=flow.v[box], valid=flow.valid[box])
 
     def pair_row(t: int) -> list[tuple[float, int]]:
         row = [None] * len(names)
         pasted = {j: FlowField(u=np.zeros(mask.shape), v=np.zeros(mask.shape),
                                valid=np.zeros(mask.shape, dtype=bool))
                   for j, mask in canvases.items()}
-        for k, (box, _) in enumerate(boxes):
-            first = references[k] if references is not None else crop(t - 1, box)
-            flow = pyramidal_lk(first, crop(t, box), solve_params)
+        for k, flow in enumerate(box_flows(t)):
             for j, inner, mask in views[k]:
                 row[j] = region_mean_magnitude(
                     FlowField(u=flow.u[inner], v=flow.v[inner], valid=flow.valid[inner]), mask
@@ -267,13 +286,16 @@ def _flow_boxes(
 
     One box per group of claimed cells joined by shared edges, when their
     areas sum to less than the one box around all regions (union, a mask);
-    otherwise that one box. A pyramid's boxes are whole frames, so it keeps one.
+    otherwise that one box. Boxes take the single-level support at any
+    pyramid depth: a pyramid solves only its finest level on them.
     """
-    # Checks the fit with the real sigma, before anything is smoothed.
-    whole = flow_support(union, params)
+    # Checks the fit with the real params, before anything is smoothed.
+    flow_support(union, params)
+    one_level = replace(params, pyramid_levels=1)
+    whole = flow_support(union, one_level)
     groups = [region_mask(grid, RegionMap({"group": cells}), "group")
               for cells in _cell_groups(region_map)]
-    boxes = [flow_support(group, params) for group in groups]
+    boxes = [flow_support(group, one_level) for group in groups]
     if sum(_area(box) for box in boxes) < _area(whole):
         return list(zip(boxes, groups))
     return [(whole, union)]

@@ -10,6 +10,7 @@ exactly. Global translations exercise the flow solver directly; region-bound
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,9 +95,10 @@ class GroundTruth:
         return du, dv
 
 
-def _render(base: Image, truth: GroundTruth, n: int) -> FrameSequence:
-    """Frame 0 is base; frame t samples base bilinearly at each pixel minus truth.field(t).
+def _render(base: Image, truth: GroundTruth, n: int) -> Iterator[Image]:
+    """Yield n frames: base, then base sampled bilinearly at each pixel minus truth.field(t).
 
+    Each frame is rendered when it is asked for, so only one is held here.
     Only the pixels that some region can move are sampled; the rest copy
     frame 0, which is what sampling them at zero displacement gives bit for bit.
     """
@@ -108,13 +110,12 @@ def _render(base: Image, truth: GroundTruth, n: int) -> FrameSequence:
     weights = {name: w.reshape(1, -1)[:, moving] for name, w in (truth.weights or {}).items()}
     row = replace(truth, width=moving.size, height=1, weights=weights)
     ys, xs = (c.astype(np.float64) for c in np.divmod(moving, base.width))
-    frames = [base]
+    yield base
     for t in range(1, n):
         du, dv = row.field(t)
         pixels = base.pixels.copy()
         pixels.reshape(-1)[moving] = sample_bilinear(base.pixels, xs - du[0], ys - dv[0])
-        frames.append(Image(pixels))
-    return FrameSequence(tuple(frames))
+        yield Image(pixels)
 
 
 def make_texture(width: int, height: int, seed: int) -> Image:
@@ -152,6 +153,17 @@ def translate_sequence(
     Frame t shows the texture shifted by (dx*t, dy*t), sampled bilinearly with
     replicate border, so the true flow from frame 0 to frame t is exactly that
     cumulative shift.
+    """
+    frames, truth = translation_frames(base, dx, dy, n)
+    return FrameSequence(tuple(frames)), truth
+
+
+def translation_frames(
+    base: Image, dx: float, dy: float, n: int
+) -> tuple[Iterator[Image], GroundTruth]:
+    """translate_sequence's frames, each rendered as it is iterated, and its truth.
+
+    The arguments are checked before this returns.
     """
     if n < 2:
         raise ConfigError(f"need at least 2 frames, got {n}")
@@ -212,6 +224,23 @@ def synth_expression(
     that touches it moves at full amplitude up to the edge. Pixels outside
     the active regions never move: the ground truth is exactly zero there and
     those frame pixels equal frame 0.
+    """
+    frames, truth = expression_frames(width, height, grid, region_map, motions, n, seed)
+    return FrameSequence(tuple(frames)), truth
+
+
+def expression_frames(
+    width: int,
+    height: int,
+    grid: GridSpec,
+    region_map: RegionMap,
+    motions: list[RegionMotion] | tuple[RegionMotion, ...],
+    n: int,
+    seed: int,
+) -> tuple[Iterator[Image], GroundTruth]:
+    """synth_expression's frames, each rendered as it is iterated, and its truth.
+
+    The arguments are checked before this returns.
     """
     if n < 2:
         raise ConfigError(f"need at least 2 frames, got {n}")

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
@@ -81,6 +82,23 @@ class TestSynth:
         lines = (out / "ground_truth.csv").read_text().splitlines()
         assert lines[0] == "frame,dx,dy"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("mode", [["--dx", "0.1"], ["--active", "mouth:2.0:2:6:10"]],
+                             ids=["shift", "active"])
+    def test_memory_does_not_grow_with_the_count(self, tmp_path, capsys, mode):
+        # Each frame is written as it is rendered, so 60 more frames add at
+        # most two frames' pixels to the traced peak.
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert main(["synth", "--out", str(tmp_path / str(count)), "--width", "320",
+                             "--height", "240", "--count", str(count), *mode]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        frame = 320 * 240 * 8
+        assert peak(80) - peak(20) <= 2 * frame
 
     def test_expression_ground_truth_lists_amplitudes(self, mouth_run):
         lines = (mouth_run / "frames" / "ground_truth.csv").read_text().splitlines()

@@ -323,6 +323,30 @@ class TestPyramidalLk:
         valid = field.valid[m:-m, m:-m]
         assert abs(u[valid].mean() - 4.0) <= 0.3
 
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_groups_match_the_whole_frame_solve(self, levels):
+        # The finest level on each group's box gives the group's pixels their
+        # whole-frame flow up to rounding; every other pixel is invalid and 0.
+        i1, i2 = shifted_pair(160, 120, 1.1, -0.6, 3)
+        groups = [np.zeros((120, 160), dtype=bool) for _ in range(2)]
+        groups[0][20:40, 30:60] = True
+        groups[1][70:100, 100:150] = True
+        groups[1][90:100, 20:30] = True  # two parts, one box around both
+        p = FlowParams(pyramid_levels=levels)
+        whole = pyramidal_lk(i1, i2, p)
+        boxed = pyramidal_lk(i1, i2, p, groups=groups)
+        inside = groups[0] | groups[1]
+        assert np.array_equal(boxed.valid, whole.valid & inside)
+        assert boxed.valid.sum() > 0.9 * inside.sum()
+        for got, expected in ((boxed.u, whole.u), (boxed.v, whole.v)):
+            np.testing.assert_allclose(got[inside], expected[inside], rtol=1e-12, atol=0)
+            assert not got[~inside].any()
+
+    def test_group_mask_must_match_the_frames(self):
+        img = make_texture(64, 48, seed=1)
+        with pytest.raises(DataError, match="^group mask is 48x64, frames are 64x48$"):
+            pyramidal_lk(img, img, FlowParams(pyramid_levels=2), groups=[np.ones((64, 48), bool)])
+
     def test_too_many_levels_rejected(self):
         img = Image(np.zeros((16, 16)))
         with pytest.raises(ConfigError, match=r"level\(s\) with window radius"):

@@ -5,10 +5,12 @@ from __future__ import annotations
 import re
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import faceflow.flow
 import faceflow.intensity
 
 from faceflow import (
@@ -32,7 +34,7 @@ from faceflow import (
     translate_sequence,
     RegionMotion,
 )
-from faceflow.flow import FlowField, flow_support, pyramidal_lk
+from faceflow.flow import FlowField, flow_support, pyramidal_lk, sample_bilinear
 from faceflow.regions import RegionMap
 
 
@@ -96,6 +98,28 @@ class TestRegionMeanMagnitude:
         field = uniform_field(4, 4, 0.0, 0.0)
         with pytest.raises(DataError, match="mask is 4x5, flow is 4x4"):
             region_mean_magnitude(field, np.ones((5, 4), dtype=bool))
+
+    @pytest.mark.parametrize("case", ["all true", "one invalid pixel", "partial mask"])
+    def test_view_sum_matches_the_masked_gather(self, case):
+        # A non-contiguous 160x320 view of a wider field, as a region's view of
+        # a box is. With this seed, summing the all-true view column by column
+        # or right to left gives other bits than row-major order.
+        u, v = np.random.default_rng(1).uniform(0.0, 1e3, size=(2, 200, 400))
+        box = (slice(20, 180), slice(30, 350))
+        valid = np.ones((200, 400), dtype=bool)
+        mask = np.ones((160, 320), dtype=bool)
+        if case == "one invalid pixel":
+            valid[100, 200] = False
+        elif case == "partial mask":
+            mask[:, :7] = False
+        flow = FlowField(u=u[box], v=v[box], valid=valid[box])
+        assert not flow.u.flags.c_contiguous
+        selected = mask & flow.valid
+        count = np.count_nonzero(selected)
+        gathered = np.add.reduce(np.hypot(flow.u[selected], flow.v[selected])) / count
+        value, got = region_mean_magnitude(flow, mask)
+        assert got == count
+        assert np.array_equal(value, gathered)
 
 
 class TestIntensitySeries:
@@ -324,9 +348,9 @@ class TestConcurrentPairs:
         def run(workers):
             threads = []
 
-            def recording_solve(*args):
+            def recording_solve(*args, **kwargs):
                 threads.append(threading.get_ident())
-                return solve(*args)
+                return solve(*args, **kwargs)
 
             monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: workers)
             monkeypatch.setattr(faceflow.intensity, "pyramidal_lk", recording_solve)
@@ -370,6 +394,10 @@ def full_frame_series(seq, grid, rmap, params, mode):
     return values, np.array([[c for _, c in row] for row in rows])
 
 
+# The four default-layout group boxes at 640x480: eyes, two cheek cells, mouth.
+BOXES_640 = [(182, 342), (102, 171), (102, 171), (102, 342)]
+
+
 class TestFlowBox:
     # (width, height, rows, cols, region map text, flow params)
     CASES = {
@@ -406,9 +434,9 @@ class TestFlowBox:
         shapes = []
         solve = faceflow.intensity.pyramidal_lk
 
-        def recording_solve(i1, i2, p):
+        def recording_solve(i1, i2, p, **kwargs):
             shapes.append((i1.pixels.shape, i2.pixels.shape))
-            return solve(i1, i2, p)
+            return solve(i1, i2, p, **kwargs)
 
         monkeypatch.setattr(faceflow.intensity, "pyramidal_lk", recording_solve)
         seq, _ = translate_sequence(make_texture(128, 96, seed=1), 0.3, 0.0, 4)
@@ -416,27 +444,58 @@ class TestFlowBox:
                          FlowParams(pyramid_levels=levels))
         assert shapes == [(shape, shape)] * 3
 
-    @pytest.mark.parametrize("text, levels, shapes", [
-        (None, 1, [(182, 342), (102, 171), (102, 171), (102, 342)]),
-        (CELLS24, 1, [(480, 640)]),
-        (None, 2, [(480, 640)]),
-    ], ids=["default-map", "cells24", "pyramid"])
-    def test_one_solve_per_group_box(self, monkeypatch, text, levels, shapes):
+    @pytest.mark.parametrize("text, levels, calls, solves", [
+        (None, 1, BOXES_640, BOXES_640),
+        (CELLS24, 1, [(480, 640)], [(480, 640)]),
+        (None, 2, [(480, 640)], [(240, 320), *BOXES_640]),
+        (CELLS24, 2, [(480, 640)], [(240, 320), (480, 640)]),
+    ], ids=["default-map", "cells24", "pyramid", "pyramid-cells24"])
+    def test_one_solve_per_group_box(self, monkeypatch, text, levels, calls, solves):
         # 640x480 default map: eyes, the two cheek cells and mouth, each grown
-        # by the 11-pixel halo. One group, or a pyramid, keeps the whole frame.
-        solved = []
-        solve = faceflow.intensity.pyramidal_lk
+        # by the 11-pixel halo. One group keeps the whole frame. A pyramid is
+        # called once per pair on whole frames, solves its coarse level there
+        # and its finest level on the same boxes.
+        called, solved = [], []
+        solve, solve_lk = faceflow.intensity.pyramidal_lk, faceflow.flow._solve_lk
 
-        def recording_solve(i1, i2, p):
-            solved.append(i1.pixels.shape)
-            return solve(i1, i2, p)
+        def recording_solve(i1, i2, p, **kwargs):
+            called.append(i1.pixels.shape)
+            return solve(i1, i2, p, **kwargs)
+
+        def recording_solve_lk(a1, a2, p):
+            solved.append(a1.shape)
+            return solve_lk(a1, a2, p)
 
         monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: 1)
         monkeypatch.setattr(faceflow.intensity, "pyramidal_lk", recording_solve)
+        monkeypatch.setattr(faceflow.flow, "_solve_lk", recording_solve_lk)
         seq, _ = translate_sequence(make_texture(640, 480, seed=1), 0.3, 0.0, 3)
         rmap = default_region_map() if text is None else parse_region_map(text)
         intensity_series(seq, make_grid(640, 480), rmap, FlowParams(pyramid_levels=levels))
-        assert solved == shapes * 2
+        assert called == calls * 2
+        assert solved == solves * 2
+
+    @pytest.mark.parametrize("motion", ["translation", "mouth-only"])
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("mode", ["reference", "consecutive"])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_pyramid_matches_full_frame_flow(self, levels, mode, sigma, motion):
+        # At 320x240 the default map takes four group boxes, and a pyramid
+        # solves its finest level on them alone, with the single-level halo
+        # of each sigma; mouth-only motion leaves the other boxes still.
+        grid = make_grid(320, 240)
+        rmap = default_region_map()
+        if motion == "translation":
+            seq, _ = translate_sequence(make_texture(320, 240, seed=7), 1.3, -0.8, 4)
+        else:
+            motions = (RegionMotion("mouth", amplitude=3.0, onset=1, apex=2, offset=3),)
+            seq, _ = synth_expression(320, 240, grid, rmap, motions, 4, seed=7)
+        params = FlowParams(smooth_sigma=sigma, pyramid_levels=levels)
+        series = intensity_series(seq, grid, rmap, params, mode=mode)
+        values, counts = full_frame_series(seq, grid, rmap, params, mode)
+        assert np.array_equal(series.counts, counts)
+        assert counts.min() > 0
+        np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=0)
 
     def test_oversized_window_names_the_frame(self):
         seq, _ = translate_sequence(make_texture(96, 72, seed=0), 0.3, 0.0, 3)
@@ -450,22 +509,52 @@ def box_area(box):
     return (box[0].stop - box[0].start) * (box[1].stop - box[1].start)
 
 
-def whole_box_series(seq, grid, rmap, params, mode):
-    """Raw crops to the flow boxes, pyramidal_lk with params, ndarray.mean of each region.
+def two_level_box_flow(first, second, params, box):
+    """Two-level flow on box: the coarse level on whole half-size frames, the finest on box alone.
 
-    The boxes are found apart from intensity_series: one per 4-connected
-    component of the region pixels, labelled by scipy, when their areas sum
-    to less than the one box around all regions, else that box. Each region
-    pixel's flow is read from the box of the component that holds it.
+    Written out apart from pyramidal_lk's groups: 2x2 box averages, the
+    coarse flow doubled and upsampled by nearest neighbour, second sampled
+    at x + u, the residual solved on the crops and added, and the sum zeroed
+    where the residual is invalid.
+    """
+    assert params.pyramid_levels == 2
+    one_level = replace(params, pyramid_levels=1)
+
+    def half(a):
+        t = a[: a.shape[0] // 2 * 2, : a.shape[1] // 2 * 2]
+        return 0.25 * (t[0::2, 0::2] + t[0::2, 1::2] + t[1::2, 0::2] + t[1::2, 1::2])
+
+    coarse = pyramidal_lk(Image(half(first.pixels)), Image(half(second.pixels)), one_level)
+    ys, xs = (c.astype(np.float64) for c in np.mgrid[box])
+    rows = np.minimum(np.arange(box[0].start, box[0].stop) // 2, coarse.u.shape[0] - 1)
+    cols = np.minimum(np.arange(box[1].start, box[1].stop) // 2, coarse.u.shape[1] - 1)
+    u, v = (2.0 * c[np.ix_(rows, cols)] for c in (coarse.u, coarse.v))
+    warped = sample_bilinear(second.pixels, xs + u, ys + v)
+    fine = pyramidal_lk(Image(first.pixels[box]), Image(warped), one_level)
+    return (np.where(fine.valid, fine.u + u, 0.0), np.where(fine.valid, fine.v + v, 0.0),
+            fine.valid)
+
+
+def whole_box_series(seq, grid, rmap, params, mode):
+    """Each region's normalized mean and count from flow solved on boxes found here.
+
+    The boxes are found apart from intensity_series: one single-level
+    flow_support box per 4-connected component of the region pixels,
+    labelled by scipy, when their areas sum to less than the one box around
+    all regions, else that box. At one level raw crops to each box go
+    through pyramidal_lk with params; at two levels two_level_box_flow
+    solves each box. Each region pixel's flow is read from the box of the
+    component that holds it, and each region's mean is ndarray.mean.
     """
     from scipy.ndimage import label
 
+    one_level = replace(params, pyramid_levels=1)
     masks = [region_mask(grid, rmap, name) for name in rmap.names()]
     union = np.logical_or.reduce(masks)
     labels, n_groups = label(union)
     groups = [labels == i for i in range(1, n_groups + 1)]
-    boxes = [flow_support(group, params) for group in groups]
-    whole = flow_support(union, params)
+    boxes = [flow_support(group, one_level) for group in groups]
+    whole = flow_support(union, one_level)
     if sum(map(box_area, boxes)) >= box_area(whole):
         boxes, groups = [whole], [union]
     diag = np.hypot(seq.width, seq.height)
@@ -476,10 +565,14 @@ def whole_box_series(seq, grid, rmap, params, mode):
         magnitude = np.zeros((seq.height, seq.width))
         valid = np.zeros((seq.height, seq.width), dtype=bool)
         for box, group in zip(boxes, groups):
-            flow = pyramidal_lk(Image(first.pixels[box]), Image(seq[t].pixels[box]), params)
+            if params.pyramid_levels == 1:
+                flow = pyramidal_lk(Image(first.pixels[box]), Image(seq[t].pixels[box]), params)
+                u, v, ok = flow.u, flow.v, flow.valid
+            else:
+                u, v, ok = two_level_box_flow(first, seq[t], params, box)
             owned = group[box]
-            magnitude[box][owned] = np.hypot(flow.u, flow.v)[owned]
-            valid[box][owned] = flow.valid[owned]
+            magnitude[box][owned] = np.hypot(u, v)[owned]
+            valid[box][owned] = ok[owned]
         for j, mask in enumerate(masks):
             sel = mask & valid
             counts[t - 1, j] = sel.sum()
@@ -540,24 +633,69 @@ class TestRunWideWork:
         assert np.array_equal(series.counts[:, 1], np.zeros(3, dtype=np.int64))
         assert series.column("a").all()
 
-    @pytest.mark.parametrize("cells, solves", [
-        ({"a": {(1, 1)}, "b": {(4, 2)}, "empty": set()}, 2 * 3),
-        ({"empty": set()}, 0),
-    ], ids=["two-groups", "no-cells"])
-    def test_empty_region_beside_group_boxes(self, monkeypatch, cells, solves):
-        # Two one-cell groups on 160x120 take two boxes; a map with no cells takes none.
+    @pytest.mark.parametrize("cells, solves, levels", [
+        ({"a": {(1, 1)}, "b": {(4, 2)}, "empty": set()}, 2 * 3, 1),
+        ({"empty": set()}, 0, 1),
+        ({"empty": set()}, 0, 3),
+    ], ids=["two-groups", "no-cells", "no-cells-pyramid"])
+    def test_empty_region_beside_group_boxes(self, monkeypatch, cells, solves, levels):
+        # Two one-cell groups on 160x120 take two boxes; a map with no cells
+        # takes none, with or without a pyramid.
         solved = []
         solve = faceflow.intensity.pyramidal_lk
 
-        def recording_solve(*args):
+        def recording_solve(*args, **kwargs):
             solved.append(None)
-            return solve(*args)
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(faceflow.intensity, "pyramidal_lk", recording_solve)
         seq, _ = translate_sequence(make_texture(160, 120, seed=5), 0.4, 0.0, 4)
         rmap = RegionMap({name: frozenset(c) for name, c in cells.items()})
-        series = intensity_series(seq, make_grid(160, 120), rmap)
+        series = intensity_series(seq, make_grid(160, 120), rmap, FlowParams(pyramid_levels=levels))
         assert len(solved) == solves
         assert np.array_equal(series.column("empty"), np.zeros(3))
         assert not series.counts[:, -1].any()
         assert series.values[:, :-1].all()
+
+
+class TestTracerContract:
+    """What a tracer wrapping the flow and reduction entry points relies on.
+
+    It replaces faceflow.intensity.pyramidal_lk and .region_mean_magnitude
+    and faceflow.flow.sample_bilinear where they are looked up, reads the
+    valid mask of every field pyramidal_lk returns, and needs a solve span
+    per pair and a reduction span per region and pair.
+    """
+
+    @pytest.mark.parametrize("mode", ["reference", "consecutive"])
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_calls_seen_through_the_module_globals(self, monkeypatch, levels, mode):
+        grid = make_grid(320, 240)
+        rmap = default_region_map()
+        motions = (RegionMotion("mouth", amplitude=3.0, onset=1, apex=3, offset=5),)
+        seq, _ = synth_expression(320, 240, grid, rmap, motions, 6, seed=2)
+        params = FlowParams(pyramid_levels=levels)
+        plain = intensity_series(seq, grid, rmap, params, mode=mode)
+        results = {"pyramidal_lk": [], "region_mean_magnitude": [], "sample_bilinear": []}
+
+        def wrap(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                results[name].append(result)
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        wrap(faceflow.intensity, "pyramidal_lk")
+        wrap(faceflow.intensity, "region_mean_magnitude")
+        wrap(faceflow.flow, "sample_bilinear")
+        traced = intensity_series(seq, grid, rmap, params, mode=mode)
+        pairs = len(seq) - 1
+        assert all(isinstance(field, FlowField) for field in results["pyramidal_lk"])
+        assert len(results["pyramidal_lk"]) >= pairs
+        assert len(results["region_mean_magnitude"]) == pairs * len(rmap.names())
+        assert bool(results["sample_bilinear"]) == (levels > 1)
+        assert np.array_equal(traced.values, plain.values)
+        assert np.array_equal(traced.counts, plain.counts)
