@@ -48,11 +48,36 @@ class Image:
         return self.pixels.shape[0]
 
 
+@dataclass(frozen=True)
+class _FrameFile:
+    """A frame file that load_sequence has checked; decoded each time it is read."""
+
+    path: Path
+    width: int
+    height: int
+
+    def decode(self) -> Image:
+        # The file may have changed since it was checked; say which one.
+        try:
+            raw, maxval = _read_samples(self.path)
+        except OSError as exc:
+            raise DataError(f"{self.path.name}: {exc.strerror or exc}") from exc
+        height, width, _ = raw.shape
+        if (width, height) != (self.width, self.height):
+            raise DataError(f"{self.path.name} is now {width}x{height}, "
+                            f"expected {self.width}x{self.height}")
+        return _gray(raw, maxval)
+
+
 @dataclass(frozen=True, eq=False)
 class FrameSequence:
-    """Ordered frames sharing one resolution."""
+    """Ordered frames sharing one resolution.
 
-    frames: tuple[Image, ...]
+    A frame is an Image, or a file that load_sequence has checked, which is
+    decoded each time the frame is indexed, so no decoded frame is kept.
+    """
+
+    frames: tuple[Image | _FrameFile, ...]
 
     def __post_init__(self) -> None:
         if not self.frames:
@@ -77,14 +102,15 @@ class FrameSequence:
         return len(self.frames)
 
     def __getitem__(self, index: int) -> Image:
-        return self.frames[index]
+        frame = self.frames[index]
+        return frame if isinstance(frame, Image) else frame.decode()
 
     def __iter__(self):
-        return iter(self.frames)
+        return (self[i] for i in range(len(self)))
 
 
-def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, bytes]:
-    """Return (width, height, maxval, payload) for a binary netpbm buffer.
+def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
+    """Return (width, height, maxval, payload offset) for a binary netpbm buffer.
 
     Header tokens are whitespace-delimited; '#' starts a comment that runs to
     end of line; exactly one whitespace byte separates maxval from the payload.
@@ -115,38 +141,44 @@ def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, byte
         raise DataError(f"invalid maxval {maxval}")
     if not data[i : i + 1].isspace():
         raise DataError("missing whitespace byte after maxval")
-    return width, height, maxval, data[i + 1 :]
+    return width, height, maxval, i + 1
 
 
 def _decode_samples(data: bytes, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
     """Raw samples, shape (height, width, channels), and the header's maxval."""
-    width, height, maxval, payload = _parse_netpbm_header(data, magic)
+    width, height, maxval, offset = _parse_netpbm_header(data, magic)
     need = channels * width * height
-    if len(payload) < need:
-        raise DataError(f"expected {need} sample bytes, got {len(payload)}")
-    raw = np.frombuffer(payload[:need], dtype=np.uint8).reshape(height, width, channels)
+    if len(data) - offset < need:
+        raise DataError(f"expected {need} sample bytes, got {len(data) - offset}")
+    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
+    raw = raw.reshape(height, width, channels)
     # A sample above maxval would decode to an intensity above 1; 8-bit samples cannot be.
     if maxval < 255 and raw.max() > maxval:
         raise DataError(f"sample {raw.max()} exceeds maxval {maxval}")
     return raw, maxval
 
 
-def decode_pgm(data: bytes) -> Image:
-    """Decode a binary PGM (P5) buffer into a normalized grayscale image."""
-    raw, maxval = _decode_samples(data, b"P5", 1)
-    return Image(raw[:, :, 0].astype(np.float64) / maxval)
+def _gray(raw: np.ndarray, maxval: int) -> Image:
+    """Normalized grayscale from raw samples: one channel as is, three as BT.601 luma.
 
-
-def decode_ppm(data: bytes) -> Image:
-    """Decode a binary PPM (P6) buffer into a normalized grayscale image.
-
-    BT.601 luma 299 R + 587 G + 114 B is summed in exact integers and divided
+    The luma 299 R + 587 G + 114 B is summed in exact integers and divided
     once by 1000 * maxval, so r=g=b=k maps to exactly k/maxval, as in P5.
     """
-    raw, maxval = _decode_samples(data, b"P6", 3)
+    if raw.shape[2] == 1:
+        return Image(raw[:, :, 0].astype(np.float64) / maxval)
     rgb = raw.astype(np.int64)
     luma = 299 * rgb[:, :, 0] + 587 * rgb[:, :, 1] + 114 * rgb[:, :, 2]
     return Image(luma / (1000 * maxval))
+
+
+def decode_pgm(data: bytes) -> Image:
+    """Decode a binary PGM (P5) buffer into a normalized grayscale image."""
+    return _gray(*_decode_samples(data, b"P5", 1))
+
+
+def decode_ppm(data: bytes) -> Image:
+    """Decode a binary PPM (P6) buffer into a normalized grayscale image (BT.601 luma)."""
+    return _gray(*_decode_samples(data, b"P6", 3))
 
 
 def encode_pgm(image: Image) -> bytes:
@@ -170,8 +202,10 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
     """Load every frame matching `pattern`, sorted by natural numeric order.
 
     Paths sort component by component relative to `directory`, so frames in
-    subdirectories stay grouped by directory. PPM files are converted to
-    grayscale on load. All frames must share one resolution.
+    subdirectories stay grouped by directory. Every file is checked here, but
+    a frame is decoded only when the sequence is indexed, so memory does not
+    grow with the frame count; PPM files are converted to grayscale then. All
+    frames must share one resolution.
     """
     root, parts = Path(directory), Path(pattern).parts
     partial_star = any("**" in part and part != "**" for part in parts)
@@ -186,13 +220,10 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
     if not paths:
         raise DataError(f"no files match {pattern!r} in {root}")
 
-    frames: list[Image] = []
+    frames: list[_FrameFile] = []
     for path in paths:
-        data = path.read_bytes()
-        try:
-            frame = (decode_ppm if data[:2] == b"P6" else decode_pgm)(data)
-        except FaceflowError as exc:
-            raise type(exc)(f"{path.name}: {exc}") from exc
+        raw, _ = _read_samples(path)
+        frame = _FrameFile(path, width=raw.shape[1], height=raw.shape[0])
         if frames and (frame.width, frame.height) != (frames[0].width, frames[0].height):
             raise DataError(
                 f"{path.name} is {frame.width}x{frame.height}, expected "
@@ -200,3 +231,12 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
             )
         frames.append(frame)
     return FrameSequence(tuple(frames))
+
+
+def _read_samples(path: Path) -> tuple[np.ndarray, int]:
+    """A PGM or PPM file's checked raw samples and maxval; a format error names the file."""
+    data = path.read_bytes()
+    try:
+        return _decode_samples(data, *((b"P6", 3) if data[:2] == b"P6" else (b"P5", 1)))
+    except FaceflowError as exc:
+        raise type(exc)(f"{path.name}: {exc}") from exc

@@ -20,22 +20,27 @@ flow; a region whose cells lie in several groups is pasted from their boxes
 into its own bounding box first, so its pixels are reduced in the same
 row-major order either way.
 
-Work that is the same for every pair is done once per run: at one pyramid
-level each box's reference crop is smoothed once (smoothing is the first step
-of the single-level solve, so smoothing first and solving with sigma 0 is the
-same arithmetic), and the boxes, the region crops and their places are fixed
-before the first pair. Frame pairs are independent, so they are solved on a
-thread pool with one worker per available CPU; numpy and scipy release the
-interpreter lock in the flow solve. Each pair's row is stored by its index,
-so the series is identical whatever the worker count.
+Work that is the same for every pair is done once: the boxes, the region
+crops and their places are fixed before the first pair, and each frame is
+staged once where it can be. At one pyramid level a frame's stage is its box
+crops, smoothed (smoothing is the first step of the single-level solve, so
+smoothing first and solving with sigma 0 is the same arithmetic); under a
+pyramid it is the decoded frame. Frame pairs are independent, so contiguous
+runs of pairs are solved on a thread pool with one worker per available CPU;
+numpy and scipy release the interpreter lock in decoding and the flow solve.
+A run decodes its frames itself and carries each frame's stage to the next
+pair, and reference mode stages frame 0 once, so frames are never all held
+at once. Each pair's row is stored by its index, so the series is identical
+whatever the worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -216,36 +221,35 @@ def intensity_series(
             for k, inner in pieces:
                 pastes[k].append((j, _shift(inner, outer), _shift(inner, boxes[k][0])))
 
-    # At one level the frames are smoothed here, the reference only once, and
-    # each box is solved on its own crops. A pyramid solves its coarse levels
-    # on the whole frames and smooths inside pyramidal_lk, after its warp, so
-    # it takes the groups and is called once per pair.
+    # At one level a frame's stage is its smoothed box crops, and each box is
+    # solved on its own crops. A pyramid solves its coarse levels on the whole
+    # frames and smooths inside pyramidal_lk, after its warp, so its stage is
+    # the whole frame; it takes the groups and is called once per pair.
     one_level = params.pyramid_levels == 1
     solve_params = replace(params, smooth_sigma=0.0)
 
-    def crop(t: int, box: tuple[slice, slice]) -> Image:
-        return gaussian_smooth(Image(seq[t].pixels[box]), params.smooth_sigma)
-
-    references = [crop(0, box) for box, _ in boxes] if one_level and mode == "reference" else None
-
-    def box_flows(t: int):
-        """Pair t's flow on each box, in box order; at one level each is solved when asked for."""
+    def stage(frame: Image):
         if one_level:
-            for k, (box, _) in enumerate(boxes):
-                first = references[k] if references is not None else crop(t - 1, box)
-                yield pyramidal_lk(first, crop(t, box), solve_params)
+            return [gaussian_smooth(Image(frame.pixels[box]), params.smooth_sigma)
+                    for box, _ in boxes]
+        return frame
+
+    def box_flows(first, second):
+        """The pair's flow on each box, in box order; at one level each is solved when asked for."""
+        if one_level:
+            for a, b in zip(first, second):
+                yield pyramidal_lk(a, b, solve_params)
         elif boxes:
-            first = seq[0] if mode == "reference" else seq[t - 1]
-            flow = pyramidal_lk(first, seq[t], params, groups=[owned for _, owned in boxes])
+            flow = pyramidal_lk(first, second, params, groups=[owned for _, owned in boxes])
             for box, _ in boxes:
                 yield FlowField(u=flow.u[box], v=flow.v[box], valid=flow.valid[box])
 
-    def pair_row(t: int) -> list[tuple[float, int]]:
+    def pair_row(first, second) -> list[tuple[float, int]]:
         row = [None] * len(names)
         pasted = {j: FlowField(u=np.zeros(mask.shape), v=np.zeros(mask.shape),
                                valid=np.zeros(mask.shape, dtype=bool))
                   for j, mask in canvases.items()}
-        for k, flow in enumerate(box_flows(t)):
+        for k, flow in enumerate(box_flows(first, second)):
             for j, inner, mask in views[k]:
                 row[j] = region_mean_magnitude(
                     FlowField(u=flow.u[inner], v=flow.v[inner], valid=flow.valid[inner]), mask
@@ -259,13 +263,39 @@ def intensity_series(
         return row
 
     n = len(seq)
-    values = np.zeros((n - 1, len(names)), dtype=np.float64)
-    counts = np.zeros((n - 1, len(names)), dtype=np.int64)
-    # Peak memory grows by about one pair's working set per extra worker.
-    with ThreadPoolExecutor(max_workers=min(_available_cpus(), n - 1)) as pool:
-        for i, row in enumerate(pool.map(pair_row, range(1, n))):
-            for j, (value, count) in enumerate(row):
-                values[i, j], counts[i, j] = value, count
+    pairs = n - 1
+    values = np.zeros((pairs, len(names)), dtype=np.float64)
+    counts = np.zeros((pairs, len(names)), dtype=np.int64)
+    # Frame 0's stage is made once in reference mode; in consecutive mode a
+    # run carries each frame's stage to its next pair.
+    reference = stage(seq[0]) if mode == "reference" else None
+
+    def solve_run(start: int, stop: int) -> None:
+        """Rows of pairs start..stop-1, each frame of the run decoded and staged once."""
+        first = reference if reference is not None else stage(seq[start - 1])
+        for t in range(start, stop):
+            second = stage(seq[t])
+            for j, (value, count) in enumerate(pair_row(first, second)):
+                values[t - 1, j], counts[t - 1, j] = value, count
+            if reference is None:
+                first = second
+
+    workers = min(_available_cpus(), pairs)
+    # One worker solves every pair in one run. More take four contiguous runs
+    # each, so that no worker waits long for the last run to end.
+    n_runs = 1 if workers == 1 else min(pairs, 4 * workers)
+    bounds = [1 + pairs * r // n_runs for r in range(n_runs + 1)]
+    runs = zip(bounds, bounds[1:])
+    # A run starts only when another has ended, so about two frames' stages
+    # per worker are alive at once, plus the reference, and after a failure
+    # no further run starts.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        running = {pool.submit(solve_run, *run) for run in islice(runs, workers)}
+        while running:
+            done, running = wait(running, return_when=FIRST_COMPLETED)
+            for run in done:
+                run.result()
+            running |= {pool.submit(solve_run, *run) for run in islice(runs, len(done))}
     if normalize:  # by the image diagonal, once for the whole series
         values /= math.hypot(seq.width, seq.height)
 

@@ -407,6 +407,31 @@ class TestSeries:
         assert capsys.readouterr().err == "error: frame pair 5 failed\n"
         assert calls and not any(calls)  # every pair ran on a worker thread
 
+    @pytest.mark.parametrize("broken", ["truncated", "deleted"])
+    def test_frame_broken_after_loading_is_data_error(self, tmp_path, monkeypatch, broken):
+        # The frames are checked when loaded and decoded later, by the pool's runs.
+        frames = tmp_path / "frames"
+        assert main(["synth", "--out", str(frames), "--width", "64", "--height", "48",
+                     "--count", "9", "--dx", "0.4", "--seed", "2"]) == EXIT_OK
+        load = faceflow.cli.load_sequence
+
+        def load_then_break(*args):
+            seq = load(*args)
+            path = frames / "frame_0006.pgm"
+            if broken == "truncated":
+                path.write_bytes(path.read_bytes()[:100])
+            else:
+                path.unlink()
+            return seq
+
+        monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(faceflow.cli, "load_sequence", load_then_break)
+        code, err = _run_main(["series", "--frames", str(frames), "--out", str(tmp_path)])
+        problem = ("expected 3072 sample bytes, got 87" if broken == "truncated"
+                   else "No such file or directory")
+        assert (code, err) == (EXIT_DATA_ERROR, f"error: frame_0006.pgm: {problem}\n")
+        assert not (tmp_path / "series.csv").exists()
+
     def test_defaults_are_the_library_defaults(self, mouth_run):
         seq = load_sequence(mouth_run / "frames")
         series = intensity_series(seq, make_grid(seq.width, seq.height), default_region_map(),

@@ -291,3 +291,36 @@ class TestLoadSequence:
         (tmp_path / "bad_1.pgm").write_bytes(b"P5\n2 2\n255\n\x00")
         with pytest.raises(DataError, match="bad_1.pgm: expected 4 sample bytes"):
             load_sequence(tmp_path)
+
+    def test_frames_decoded_when_indexed(self, tmp_path):
+        # Every file is checked up front, but no decoded frame is kept.
+        (tmp_path / "a_1.pgm").write_bytes(pgm_bytes(2, 1, 255, [0, 51]))
+        (tmp_path / "a_2.pgm").write_bytes(pgm_bytes(2, 1, 255, [102, 255]))
+        seq = load_sequence(tmp_path)
+        assert (seq.width, seq.height, len(seq)) == (2, 1, 2)
+        assert seq[1] is not seq[1]
+        assert np.array_equal(seq[1].pixels, [[0.4, 1.0]])
+        (tmp_path / "a_2.pgm").write_bytes(pgm_bytes(2, 1, 255, [255, 0]))
+        assert np.array_equal(seq[1].pixels, [[1.0, 0.0]])
+        assert np.array_equal(seq[0].pixels, [[0.0, 0.2]])
+
+    @pytest.mark.parametrize("change, message", [
+        ("truncate", "a_2.pgm: expected 2 sample bytes, got 1"),
+        ("delete", "a_2.pgm: No such file or directory"),
+        ("resize", "a_2.pgm is now 1x1, expected 2x1"),
+        ("garble", "a_2.pgm: expected magic P5, got b'P4'"),
+    ], ids=["truncate", "delete", "resize", "garble"])
+    def test_frame_changed_after_loading_names_file(self, tmp_path, change, message):
+        (tmp_path / "a_1.pgm").write_bytes(pgm_bytes(2, 1, 255, [0, 0]))
+        path = tmp_path / "a_2.pgm"
+        path.write_bytes(pgm_bytes(2, 1, 255, [0, 0]))
+        seq = load_sequence(tmp_path)
+        if change == "delete":
+            path.unlink()
+        else:
+            path.write_bytes({"truncate": pgm_bytes(2, 1, 255, [0]),
+                              "resize": pgm_bytes(1, 1, 255, [0]),
+                              "garble": b"P4\n2 1\n255\n\0\0"}[change])
+        assert np.array_equal(seq[0].pixels, [[0.0, 0.0]])
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            seq[1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,9 @@ from faceflow import (
     default_region_map,
     default_region_text,
     displacement_magnitude,
+    encode_pgm,
     intensity_series,
+    load_sequence,
     make_grid,
     make_texture,
     parse_region_map,
@@ -379,6 +382,104 @@ class TestConcurrentPairs:
             parse_region_map("", rows=2, cols=2)
 
 
+
+def write_frames(directory, frames):
+    directory.mkdir()
+    for i, frame in enumerate(frames):
+        (directory / f"frame_{i:04d}.pgm").write_bytes(encode_pgm(frame))
+    return directory
+
+
+@pytest.fixture(scope="module")
+def motion_frames(tmp_path_factory):
+    """12 frames (11 pairs) of mouth and cheek motion at 128x96, written as PGM files."""
+    grid = make_grid(128, 96, 6, 4)
+    motions = (
+        RegionMotion("mouth", amplitude=3.0, onset=1, apex=5, offset=10),
+        RegionMotion("cheeks", amplitude=1.0, onset=2, apex=6, offset=11),
+    )
+    seq, _ = synth_expression(128, 96, grid, default_region_map(), motions, 12, seed=4)
+    return write_frames(tmp_path_factory.mktemp("motion") / "frames", seq)
+
+
+class TestStreamedFrames:
+    """A sequence from load_sequence decodes each frame inside the run that solves it."""
+
+    @pytest.mark.parametrize("workers", ["one", "two", "more-than-cpus"])
+    @pytest.mark.parametrize("levels", [1, 3])
+    @pytest.mark.parametrize("mode", ["reference", "consecutive"])
+    def test_same_series_as_frames_in_memory(self, monkeypatch, motion_frames, mode, levels,
+                                             workers):
+        # 11 pairs split unevenly into runs at two or more workers, so in
+        # consecutive mode runs start on the frame the run before them ended on.
+        count = {"one": 1, "two": 2,
+                 "more-than-cpus": faceflow.intensity._available_cpus() + 2}[workers]
+        monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: count)
+        streamed = load_sequence(motion_frames)
+        in_memory = FrameSequence(tuple(streamed))
+        assert all(isinstance(frame, Image) for frame in in_memory.frames)
+        grid, rmap = make_grid(128, 96, 6, 4), default_region_map()
+        params = FlowParams(pyramid_levels=levels)
+        from_files = intensity_series(streamed, grid, rmap, params, mode=mode)
+        from_memory = intensity_series(in_memory, grid, rmap, params, mode=mode)
+        assert np.array_equal(from_files.values, from_memory.values)
+        assert np.array_equal(from_files.counts, from_memory.counts)
+        assert from_files.values.any()
+
+    @pytest.mark.parametrize("broken", ["truncated", "deleted"])
+    def test_frame_broken_after_loading_stops_the_run(self, monkeypatch, tmp_path, broken):
+        # 17 frames, 16 pairs, 2 workers: 8 runs of 2 pairs. Frame 1 breaks
+        # in the first run; the second run may finish, no later run starts.
+        seq, _ = translate_sequence(make_texture(64, 64, seed=2), 0.3, 0.1, 17)
+        frames = write_frames(tmp_path / "frames", seq)
+        monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: 2)
+        solved = []
+        solve = faceflow.intensity.pyramidal_lk
+
+        def recording_solve(*args, **kwargs):
+            solved.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(faceflow.intensity, "pyramidal_lk", recording_solve)
+        grid, rmap = make_grid(64, 64), default_region_map()
+        intensity_series(load_sequence(frames), grid, rmap)
+        per_pair = len(solved) // 16
+        solved.clear()
+        streamed = load_sequence(frames)
+        path = frames / "frame_0001.pgm"
+        if broken == "truncated":
+            path.write_bytes(path.read_bytes()[:-1])
+            message = r"^frame_0001\.pgm: expected 4096 sample bytes, got 4095$"
+        else:
+            path.unlink()
+            message = r"^frame_0001\.pgm: No such file or directory$"
+        with pytest.raises(DataError, match=message):
+            intensity_series(streamed, grid, rmap)
+        assert len(solved) <= 2 * per_pair
+
+    def test_memory_does_not_grow_with_the_frame_count(self, monkeypatch, tmp_path):
+        # The frames are decoded as their pairs are solved, never all held:
+        # the peak over loading and solving stays within one float64 frame.
+        monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: 1)
+        grid, rmap = make_grid(160, 120), default_region_map()
+        motions = (RegionMotion("mouth", amplitude=2.0, onset=1, apex=4, offset=7),)
+
+        def peak(count):
+            frames = tmp_path / str(count)
+            if not frames.exists():
+                seq, _ = synth_expression(160, 120, grid, rmap, motions, count, seed=1)
+                write_frames(frames, seq)
+            tracemalloc.start()
+            try:
+                intensity_series(load_sequence(frames), grid, rmap)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # the first solve imports and sets up what later ones reuse
+        frame = 160 * 120 * 8
+        assert abs(peak(32) - peak(8)) < frame
+
 CELLS24 = "".join(f"region c{r}{c} = r{r}c{c}\n" for r in range(6) for c in range(4))
 
 
@@ -600,9 +701,13 @@ class TestRunWideWork:
 
     @pytest.mark.parametrize(
         "mode, levels, smooths",
-        [("reference", 1, 5), ("consecutive", 1, 8), ("reference", 2, 0), ("consecutive", 2, 0)],
+        [("reference", 1, 5), ("consecutive", 1, 5), ("reference", 2, 0), ("consecutive", 2, 0)],
     )
     def test_calls_per_run_and_per_pair(self, monkeypatch, mode, levels, smooths):
+        # One worker solves the 4 pairs in one run, and at one level each
+        # frame's crops are smoothed once: frame 0 as the reference or as the
+        # run's first frame, every later frame as it arrives.
+        monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: 1)
         # Pool workers append; list.append is atomic where += on a count is not.
         calls = {"gaussian_smooth": [], "pyramidal_lk": [], "region_mean_magnitude": []}
 
