@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,7 +29,7 @@ from .flow import FlowParams
 from .imageio import encode_pgm, load_sequence
 from .intensity import IntensitySeries, intensity_series
 from .regions import GridSpec, RegionMap, default_region_text, make_grid, parse_region_map
-from .synth import RegionMotion, expression_frames, make_texture, translation_frames
+from .synth import RegionMotion, make_texture, synth_expression, translate_sequence
 
 __all__ = [
     "main",
@@ -400,7 +401,7 @@ def _cmd_synth(cfg: dict) -> int:
     grid = make_grid(cfg["width"], cfg["height"], rows=cfg["rows"], cols=cfg["cols"])
     region_map = _load_region_map(cfg)
     if cfg["active"]:
-        frames, truth = expression_frames(
+        seq, truth = synth_expression(
             cfg["width"], cfg["height"], grid, region_map, cfg["active"], n, cfg["seed"]
         )
         lines = ["frame,region,amplitude"]
@@ -409,15 +410,22 @@ def _cmd_synth(cfg: dict) -> int:
                 lines.append(f"{t},{motion.region},{truth.profiles[motion.region][t]:.8e}")
     else:
         base = make_texture(cfg["width"], cfg["height"], cfg["seed"])
-        frames, truth = translation_frames(base, cfg["dx"], cfg["dy"], n)
+        seq, truth = translate_sequence(base, cfg["dx"], cfg["dy"], n)
         lines = ["frame,dx,dy"]
         for t in range(n):
             lines.append(f"{t},{truth.shifts[t, 0]:.8e},{truth.shifts[t, 1]:.8e}")
 
     out_dir = Path(cfg["out"])
+    # series would read a longer earlier run's leftover frames as part of this one.
+    stale = min(((int(m[1]), path.name) for path in out_dir.glob("frame_*.pgm")
+                 if (m := re.fullmatch(r"frame_([0-9]+)\.pgm", path.name)) and int(m[1]) >= n),
+                default=None)
+    if stale:
+        raise ConfigError(f"{out_dir} already holds {stale[1]}, which a {n}-frame run "
+                          "would not overwrite; remove it or choose another --out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Each frame is written as it is rendered, so memory does not grow with the count.
-    for t, frame in enumerate(frames):
+    # Each frame is rendered as it is written, so memory does not grow with the count.
+    for t, frame in enumerate(seq):
         (out_dir / f"frame_{t:04d}.pgm").write_bytes(encode_pgm(frame))
     (out_dir / "ground_truth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     print(f"wrote {n} frames and ground_truth.csv to {out_dir}")

@@ -7,7 +7,9 @@ downstream gradient and eigenvalue thresholds are independent of bit depth.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,36 +50,25 @@ class Image:
         return self.pixels.shape[0]
 
 
-@dataclass(frozen=True)
-class _FrameFile:
-    """A frame file that load_sequence has checked; decoded each time it is read."""
+@dataclass(frozen=True, slots=True)
+class _DeferredFrame:
+    """A frame of known size whose Image `make` produces each time the frame is read."""
 
-    path: Path
     width: int
     height: int
-
-    def decode(self) -> Image:
-        # The file may have changed since it was checked; say which one.
-        try:
-            raw, maxval = _read_samples(self.path)
-        except OSError as exc:
-            raise DataError(f"{self.path.name}: {exc.strerror or exc}") from exc
-        height, width, _ = raw.shape
-        if (width, height) != (self.width, self.height):
-            raise DataError(f"{self.path.name} is now {width}x{height}, "
-                            f"expected {self.width}x{self.height}")
-        return _gray(raw, maxval)
+    make: Callable[[], Image]
 
 
 @dataclass(frozen=True, eq=False)
 class FrameSequence:
     """Ordered frames sharing one resolution.
 
-    A frame is an Image, or a file that load_sequence has checked, which is
-    decoded each time the frame is indexed, so no decoded frame is kept.
+    A frame is an Image, or a deferred frame that is made each time it is
+    indexed (a checked file decoded, a synthetic frame rendered), so no
+    such frame is kept.
     """
 
-    frames: tuple[Image | _FrameFile, ...]
+    frames: tuple[Image | _DeferredFrame, ...]
 
     def __post_init__(self) -> None:
         if not self.frames:
@@ -103,7 +94,7 @@ class FrameSequence:
 
     def __getitem__(self, index: int) -> Image:
         frame = self.frames[index]
-        return frame if isinstance(frame, Image) else frame.decode()
+        return frame if isinstance(frame, Image) else frame.make()
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -220,10 +211,10 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
     if not paths:
         raise DataError(f"no files match {pattern!r} in {root}")
 
-    frames: list[_FrameFile] = []
+    frames: list[_DeferredFrame] = []
     for path in paths:
-        raw, _ = _read_samples(path)
-        frame = _FrameFile(path, width=raw.shape[1], height=raw.shape[0])
+        height, width, _ = _read_samples(path)[0].shape
+        frame = _DeferredFrame(width, height, partial(_read_frame, path, width, height))
         if frames and (frame.width, frame.height) != (frames[0].width, frames[0].height):
             raise DataError(
                 f"{path.name} is {frame.width}x{frame.height}, expected "
@@ -231,6 +222,18 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
             )
         frames.append(frame)
     return FrameSequence(tuple(frames))
+
+
+def _read_frame(path: Path, width: int, height: int) -> Image:
+    """A frame that load_sequence has checked; it may have changed since, so say which one."""
+    try:
+        raw, maxval = _read_samples(path)
+    except OSError as exc:
+        raise DataError(f"{path.name}: {exc.strerror or exc}") from exc
+    if raw.shape[:2] != (height, width):
+        raise DataError(f"{path.name} is now {raw.shape[1]}x{raw.shape[0]}, "
+                        f"expected {width}x{height}")
+    return _gray(raw, maxval)
 
 
 def _read_samples(path: Path) -> tuple[np.ndarray, int]:

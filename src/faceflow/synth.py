@@ -10,14 +10,14 @@ exactly. Global translations exercise the flow solver directly; region-bound
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .flow import sample_bilinear
-from .imageio import FrameSequence, Image
+from .imageio import FrameSequence, Image, _DeferredFrame
 from .regions import GridSpec, RegionMap, region_mask
 
 __all__ = [
@@ -95,12 +95,13 @@ class GroundTruth:
         return du, dv
 
 
-def _render(base: Image, truth: GroundTruth, n: int) -> Iterator[Image]:
-    """Yield n frames: base, then base sampled bilinearly at each pixel minus truth.field(t).
+def _render(base: Image, truth: GroundTruth, n: int) -> FrameSequence:
+    """n frames: base, then base sampled bilinearly at each pixel minus truth.field(t).
 
-    Each frame is rendered when it is asked for, so only one is held here.
-    Only the pixels that some region can move are sampled; the rest copy
-    frame 0, which is what sampling them at zero displacement gives bit for bit.
+    Each frame after base is rendered each time the sequence is indexed, so
+    none is kept. Only the pixels that some region can move are sampled; the
+    rest copy frame 0, which is what sampling them at zero displacement gives
+    bit for bit.
     """
     if truth.weights is None:
         moving = np.arange(base.pixels.size)
@@ -110,12 +111,15 @@ def _render(base: Image, truth: GroundTruth, n: int) -> Iterator[Image]:
     weights = {name: w.reshape(1, -1)[:, moving] for name, w in (truth.weights or {}).items()}
     row = replace(truth, width=moving.size, height=1, weights=weights)
     ys, xs = (c.astype(np.float64) for c in np.divmod(moving, base.width))
-    yield base
-    for t in range(1, n):
+
+    def frame(t: int) -> Image:
         du, dv = row.field(t)
         pixels = base.pixels.copy()
         pixels.reshape(-1)[moving] = sample_bilinear(base.pixels, xs - du[0], ys - dv[0])
-        yield Image(pixels)
+        return Image(pixels)
+
+    later = (_DeferredFrame(base.width, base.height, partial(frame, t)) for t in range(1, n))
+    return FrameSequence((base, *later))
 
 
 def make_texture(width: int, height: int, seed: int) -> Image:
@@ -152,18 +156,8 @@ def translate_sequence(
 
     Frame t shows the texture shifted by (dx*t, dy*t), sampled bilinearly with
     replicate border, so the true flow from frame 0 to frame t is exactly that
-    cumulative shift.
-    """
-    frames, truth = translation_frames(base, dx, dy, n)
-    return FrameSequence(tuple(frames)), truth
-
-
-def translation_frames(
-    base: Image, dx: float, dy: float, n: int
-) -> tuple[Iterator[Image], GroundTruth]:
-    """translate_sequence's frames, each rendered as it is iterated, and its truth.
-
-    The arguments are checked before this returns.
+    cumulative shift. The arguments are checked here; each frame is rendered
+    when the sequence is indexed.
     """
     if n < 2:
         raise ConfigError(f"need at least 2 frames, got {n}")
@@ -223,24 +217,8 @@ def synth_expression(
     field stays smooth. The frame edge is not a region boundary: a region
     that touches it moves at full amplitude up to the edge. Pixels outside
     the active regions never move: the ground truth is exactly zero there and
-    those frame pixels equal frame 0.
-    """
-    frames, truth = expression_frames(width, height, grid, region_map, motions, n, seed)
-    return FrameSequence(tuple(frames)), truth
-
-
-def expression_frames(
-    width: int,
-    height: int,
-    grid: GridSpec,
-    region_map: RegionMap,
-    motions: list[RegionMotion] | tuple[RegionMotion, ...],
-    n: int,
-    seed: int,
-) -> tuple[Iterator[Image], GroundTruth]:
-    """synth_expression's frames, each rendered as it is iterated, and its truth.
-
-    The arguments are checked before this returns.
+    those frame pixels equal frame 0. The arguments are checked here; each
+    frame is rendered when the sequence is indexed.
     """
     if n < 2:
         raise ConfigError(f"need at least 2 frames, got {n}")

@@ -100,6 +100,25 @@ class TestSynth:
         frame = 320 * 240 * 8
         assert peak(80) - peak(20) <= 2 * frame
 
+    def test_shorter_rerun_leaves_no_stale_frames(self, tmp_path):
+        # series would read the longer run's frames 3-5 as part of the shorter one.
+        out = tmp_path / "frames"
+        assert main(["synth", "--out", str(out), "--count", "6",
+                     "--active", "mouth:2.0:1:3:5"]) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        code, err = _run_main(["synth", "--out", str(out), "--count", "3", "--seed", "2"])
+        assert (code, err) == (EXIT_CONFIG_ERROR, f"error: {out} already holds frame_0003.pgm, "
+                               "which a 3-frame run would not overwrite; remove it or choose "
+                               "another --out\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        # Reruns with the same or a larger count overwrite every frame.
+        for count in ("6", "8"):
+            assert main(["synth", "--out", str(out), "--count", count, "--seed", "2"]) == EXIT_OK
+            assert main(["series", "--frames", str(out), "--out", str(tmp_path)]) == EXIT_OK
+            lines = (tmp_path / "series.csv").read_text().splitlines()
+            assert len(lines) == int(count)  # header + one row per pair
+            assert all(float(cell) == 0.0 for line in lines[1:] for cell in line.split(",")[1:])
+
     def test_expression_ground_truth_lists_amplitudes(self, mouth_run):
         lines = (mouth_run / "frames" / "ground_truth.csv").read_text().splitlines()
         assert lines[0] == "frame,region,amplitude"

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import faceflow.synth
 from faceflow import (
     ConfigError,
     DataError,
@@ -233,9 +236,22 @@ def _whole_frame_render(seq, truth):
 
 
 class TestRenderMatchesWholeFrame:
-    """Sampling only the pixels that can move gives the whole-frame render bit for bit."""
+    """Sampling only the pixels that can move gives the whole-frame render bit for bit.
+
+    Frames are rendered each time they are indexed, so any order, and indexing
+    a frame again, gives the same bits.
+    """
 
     CELLS24 = "\n".join(f"region c{r}{c} = r{r}c{c}" for r in range(6) for c in range(4))
+
+    @staticmethod
+    def check(seq, truth):
+        expected = _whole_frame_render(seq, truth)
+        in_order = range(len(seq))
+        reversed_twice = [t for t in reversed(in_order) for _ in range(2)]
+        for order in (in_order, reversed_twice):
+            for t in order:
+                assert np.array_equal(seq[t].pixels, expected[t])
 
     @pytest.mark.parametrize(
         "width, height, text, motions",
@@ -259,13 +275,55 @@ class TestRenderMatchesWholeFrame:
         seq, truth = synth_expression(
             width, height, grid, rmap, [RegionMotion(*m) for m in motions], 16, seed=3
         )
-        for frame, expected in zip(seq, _whole_frame_render(seq, truth), strict=True):
-            assert np.array_equal(frame.pixels, expected)
+        self.check(seq, truth)
 
     def test_translation(self):
         seq, truth = translate_sequence(make_texture(48, 40, seed=4), 0.37, -0.61, 8)
-        for frame, expected in zip(seq, _whole_frame_render(seq, truth), strict=True):
-            assert np.array_equal(frame.pixels, expected)
+        self.check(seq, truth)
+
+
+def _synth(mode, n):
+    if mode == "expression":
+        motions = (RegionMotion("mouth", 2.0, 2, 8, 14), RegionMotion("cheeks", 1.0, 3, 9, 15))
+        return synth_expression(160, 120, make_grid(160, 120), default_region_map(), motions,
+                                n, seed=3)
+    return translate_sequence(make_texture(160, 120, seed=3), 0.25, -0.35, n)
+
+
+@pytest.mark.parametrize("mode", ["expression", "translation"])
+class TestDeferredFrames:
+    """A synthetic sequence renders a frame each time it is indexed and keeps none."""
+
+    def test_nothing_rendered_until_indexed(self, monkeypatch, mode):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sample_bilinear(*args)
+
+        monkeypatch.setattr(faceflow.synth, "sample_bilinear", counting)
+        seq, truth = _synth(mode, 16)
+        assert len(calls) == 0
+        assert truth.field(8)[0].any()
+        seq[8]
+        seq[8]
+        assert len(calls) == 2
+        seq[0]  # the base texture itself
+        assert len(calls) == 2
+
+    def test_memory_does_not_grow_with_the_count(self, mode):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                seq, _ = _synth(mode, n)
+                for frame in seq:
+                    assert frame.width == 160
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        frame = 160 * 120 * 8
+        assert abs(peak(80) - peak(20)) < frame
 
 
 class TestFeather:
