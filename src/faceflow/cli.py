@@ -8,7 +8,7 @@ Subcommands:
 
 Every option can also come from a flat key=value config file (--config);
 explicit flags win over config values. Exit codes: 0 success, 2 data or I/O
-error, 3 configuration error.
+error or out of memory, 3 configuration error.
 """
 
 from __future__ import annotations
@@ -457,6 +457,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(_merge_options(args, args.opts))
     except (DataError, OSError) as exc:  # OSError: file I/O
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_DATA_ERROR
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

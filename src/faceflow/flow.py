@@ -338,21 +338,21 @@ def bounding_box(mask: np.ndarray) -> tuple[slice, slice]:
 
 
 def flow_support(region: np.ndarray, p: FlowParams) -> tuple[slice, slice]:
-    """Frame rows and columns that pyramidal_lk needs for exact flow on a region.
+    """The flow box of a region: the frame rows and columns its single-level flow reads.
 
-    region is a boolean (height, width) mask. Single-level flow at a pixel
-    reads the frame within window_radius + 1 + ceil(3 sigma) of it: the
-    window, the central difference and the smoothing kernel. The support is
-    the region's bounding box grown by that halo, clipped to the frame, and
-    at least one window side long. With more than one pyramid level the warp
-    samples at x + u, so the support is the whole frame, as it is for an
-    empty region.
+    The one statement of the box rule. region is a boolean (height, width)
+    mask. Flow at a pixel reads the frame within window_radius + 1 +
+    ceil(3 sigma) of it: the window, the central difference and the smoothing
+    kernel. The box is the region's bounding box grown by that halo, clipped
+    to the frame and at least one window side long; an empty region's box is
+    the whole frame. It holds at any pyramid depth: pyramidal_lk solves only
+    its finest level on a box, and that level's warp samples the whole of i2.
 
-    Checks first that the frame fits p, so an error names the frame's size.
+    Checks first that the frame fits all of p, so an error names its size.
     """
     height, width = region.shape
     _check_fits(width, height, p)
-    if p.pyramid_levels > 1 or not region.any():
+    if not region.any():
         return slice(0, height), slice(0, width)
     halo = p.window_radius + 1 + math.ceil(3 * p.smooth_sigma)
     side = 2 * p.window_radius + 1
@@ -379,12 +379,11 @@ def pyramidal_lk(
 
     groups, boolean (height, width) masks, limits the finest level to the
     pixels they hold. Every coarser level is still solved on the whole
-    frames. The finest level is solved on each group's single-level support
-    box alone (flow_support with pyramid_levels = 1), its warp sampling the
-    whole of i2 at x + u. The field is whole-frame: each group's pixels get
-    the flow of its box, which is the whole-frame flow up to rounding in the
-    window sums, and every other pixel is invalid with u = v = 0. A pixel in
-    several groups takes the last one's flow.
+    frames. The finest level is solved on each group's flow box alone
+    (flow_support), its warp sampling all of i2 at x + u. The field is
+    whole-frame: a group's pixels get its box's flow, the whole-frame flow up
+    to rounding in the window sums, and every other pixel is invalid with
+    u = v = 0. A pixel in several groups takes the last one's flow.
     """
     _require_same_shape(i1, i2)
     _check_fits(i1.width, i1.height, p)
@@ -436,18 +435,19 @@ def _refine_groups(
     a1: np.ndarray, a2: np.ndarray, u: np.ndarray | None, v: np.ndarray | None,
     p: FlowParams, groups: list[np.ndarray],
 ) -> FlowField:
-    """_refine on each group's single-level support box, kept on the group's pixels.
+    """_refine on each group's flow box, kept on the group's pixels.
 
     Every other pixel is invalid with u = v = 0.
     """
     field = FlowField(u=np.zeros(a1.shape), v=np.zeros(a1.shape),
                       valid=np.zeros(a1.shape, dtype=bool))
-    one_level = replace(p, pyramid_levels=1)
     for group in groups:
         if group.shape != a1.shape:
             raise DataError(f"group mask is {group.shape[1]}x{group.shape[0]}, "
                             f"frames are {a1.shape[1]}x{a1.shape[0]}")
-        box = flow_support(group, one_level)
+        if group.dtype != bool:
+            raise DataError(f"group mask must be boolean, got {group.dtype}")
+        box = flow_support(group, p)
         du, dv, ok = _refine(a1, a2, u, v, p, box)
         _zero_invalid(du, dv, ok)
         for out, solved in zip((field.u, field.v, field.valid), (du, dv, ok)):

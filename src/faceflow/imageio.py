@@ -92,7 +92,10 @@ class FrameSequence:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def __getitem__(self, index: int) -> Image:
+    def __getitem__(self, index: int | slice) -> Image | FrameSequence:
+        """The frame at index, made now if deferred; a slice is a sequence of the same frames."""
+        if isinstance(index, slice):
+            return FrameSequence(self.frames[index])
         frame = self.frames[index]
         return frame if isinstance(frame, Image) else frame.make()
 

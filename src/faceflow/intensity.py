@@ -6,19 +6,16 @@ measures every frame against frame 0 (the neutral face); consecutive mode
 measures frame-to-frame motion. The finished series is optionally divided by
 the image diagonal, once, so its values are resolution-independent.
 
-Flow is solved only on flow boxes: a box is the bounding box of some region
-cells grown by the single-level flow's support halo (see flow.flow_support),
-the part of the frame the cells' flow depends on. Claimed cells that share an
-edge form a group, and each group gets its own box when the group boxes
-together are smaller than the one box around all regions; otherwise that one
-box is solved. At one pyramid level each box is solved on its own crops. A
-pyramid is called once per pair on the whole frames with the groups' masks:
-it solves its coarser levels on the whole frames and its finest level on each
-box, where the single-level halo holds because the warp samples the whole
-second frame. A region inside one box is reduced on a view of that box's
-flow; a region whose cells lie in several groups is pasted from their boxes
-into its own bounding box first, so its pixels are reduced in the same
-row-major order either way.
+Flow is solved only on flow boxes (the rule is flow.flow_support's). Region
+pixels that share an edge form a group, and each group gets its own box when
+the group boxes together are smaller than the one box around all regions;
+otherwise that one box is solved. At one pyramid level each box is solved on
+its own crops. A pyramid is called once per pair on the whole frames with the
+groups' masks: it solves its coarser levels on the whole frames and its
+finest level on each box. A region inside one box is reduced on a view of
+that box's flow; a region whose pixels lie in several groups is pasted from
+their boxes into its own bounding box first, so its pixels are reduced in the
+same row-major order either way.
 
 Work that is the same for every pair is done once: the boxes, the region
 crops and their places are fixed before the first pair, and each frame is
@@ -164,8 +161,10 @@ def region_mean_magnitude(flow: FlowField, mask: np.ndarray) -> tuple[float, int
         raise DataError(
             f"mask is {mask.shape[1]}x{mask.shape[0]}, flow is {flow.u.shape[1]}x{flow.u.shape[0]}"
         )
+    if mask.dtype != bool:
+        raise DataError(f"mask must be boolean, got {mask.dtype}")
     selected = mask & flow.valid
-    count = np.count_nonzero(selected)
+    count = int(np.count_nonzero(selected))
     if count == 0:
         return 0.0, 0
     if count == selected.size:  # the same elements in the same row-major order, ungathered
@@ -203,7 +202,7 @@ def intensity_series(
     union = np.zeros((seq.height, seq.width), dtype=bool)
     for mask in masks:
         union |= mask
-    boxes = _flow_boxes(grid, region_map, union, params)
+    boxes = _flow_boxes(union, params)
     # Each region is reduced on its own bounding box: a view of the one box
     # that owns all its pixels, or else a canvas its pieces are pasted into.
     views: list[list] = [[] for _ in boxes]  # per box: (region, its place in the box, mask)
@@ -309,44 +308,22 @@ def intensity_series(
     )
 
 
-def _flow_boxes(
-    grid: GridSpec, region_map: RegionMap, union: np.ndarray, params: FlowParams
-) -> list[tuple[tuple[slice, slice], np.ndarray]]:
+def _flow_boxes(union: np.ndarray, params: FlowParams) -> list[tuple[tuple[slice, slice], np.ndarray]]:
     """The boxes each pair is solved on, each with the mask of the region pixels it owns.
 
-    One box per group of claimed cells joined by shared edges, when their
-    areas sum to less than the one box around all regions (union, a mask);
-    otherwise that one box. Boxes take the single-level support at any
-    pyramid depth: a pyramid solves only its finest level on them.
+    One flow box per group of region pixels joined by shared edges, when
+    their areas sum to less than the one box around all regions (union, a
+    mask); otherwise that one box.
     """
-    # Checks the fit with the real params, before anything is smoothed.
-    flow_support(union, params)
-    one_level = replace(params, pyramid_levels=1)
-    whole = flow_support(union, one_level)
-    groups = [region_mask(grid, RegionMap({"group": cells}), "group")
-              for cells in _cell_groups(region_map)]
-    boxes = [flow_support(group, one_level) for group in groups]
+    from scipy.ndimage import label  # here: commands without it skip scipy
+
+    whole = flow_support(union, params)
+    labels, n_groups = label(union)
+    groups = [labels == i for i in range(1, n_groups + 1)]
+    boxes = [flow_support(group, params) for group in groups]
     if sum(_area(box) for box in boxes) < _area(whole):
         return list(zip(boxes, groups))
     return [(whole, union)]
-
-
-def _cell_groups(region_map: RegionMap) -> list[frozenset[tuple[int, int]]]:
-    """Claimed cells split into groups joined by shared edges, ordered by first cell."""
-    ungrouped = set().union(*region_map.regions.values())
-    groups = []
-    while ungrouped:
-        frontier = [min(ungrouped)]
-        group = set(frontier)
-        ungrouped -= group
-        while frontier:
-            row, col = frontier.pop()
-            near = {(row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1)} & ungrouped
-            ungrouped -= near
-            group |= near
-            frontier.extend(near)
-        groups.append(frozenset(group))
-    return groups
 
 
 def _area(box: tuple[slice, slice]) -> int:

@@ -1145,6 +1145,17 @@ class TestErrorCategories:
             monkeypatch.setattr(faceflow.cli, "parse_series_csv", fail)
             assert _run_main(argv) == (code, "error: planted\n"), error
 
+    @pytest.mark.parametrize("text", ["Unable to allocate 14.6 TiB for an array", ""])
+    def test_out_of_memory_is_a_data_error(self, tmp_path, monkeypatch, text):
+        # Planted: a real allocation this large is not attempted.
+        def fail(width, height, seed):
+            raise MemoryError(*([text] if text else []))
+        monkeypatch.setattr(faceflow.cli, "make_texture", fail)
+        argv = ["synth", "--out", str(tmp_path / "x"), "--width", "1000000",
+                "--height", "1000000", "--count", "2"]
+        message = "error: out of memory" + (f": {text}" if text else "") + "\n"
+        assert _run_main(argv) == (EXIT_DATA_ERROR, message)
+
     def test_stray_value_error_is_not_a_config_error(self, mouth_run, tmp_path, monkeypatch):
         # A ValueError no check raised on purpose is a fault, not a user's bad option.
         def fail(text):

@@ -21,7 +21,7 @@ from faceflow import (
     spatiotemporal_gradients,
     translate_sequence,
 )
-from faceflow.flow import FlowField, _window_means
+from faceflow.flow import FlowField, _window_means, flow_support
 
 INTERIOR = 9  # margin past the default window radius, clear of border effects
 
@@ -347,6 +347,13 @@ class TestPyramidalLk:
         with pytest.raises(DataError, match="^group mask is 48x64, frames are 64x48$"):
             pyramidal_lk(img, img, FlowParams(pyramid_levels=2), groups=[np.ones((64, 48), bool)])
 
+    def test_group_mask_must_be_boolean(self):
+        img = make_texture(64, 48, seed=1)
+        group = np.zeros((48, 64), dtype=np.uint8)
+        group[10:20, 10:30] = 1
+        with pytest.raises(DataError, match="^group mask must be boolean, got uint8$"):
+            pyramidal_lk(img, img, FlowParams(pyramid_levels=2), groups=[group])
+
     def test_too_many_levels_rejected(self):
         img = Image(np.zeros((16, 16)))
         with pytest.raises(ConfigError, match=r"level\(s\) with window radius"):
@@ -399,6 +406,28 @@ class TestPyramidalLk:
         a = lucas_kanade(i1, i2, FlowParams())
         b = lucas_kanade(i1, i2, FlowParams(pyramid_levels=3))
         assert np.array_equal(a.u, b.u)
+
+
+class TestFlowSupport:
+    def test_box_is_the_same_at_every_depth_that_fits(self):
+        # The bounding box rows 20-39, cols 30-59, grown by 7 + 1 + ceil(3) = 11.
+        region = np.zeros((120, 160), dtype=bool)
+        region[20:40, 30:60] = True
+        for levels in (1, 2, 3):
+            box = flow_support(region, FlowParams(pyramid_levels=levels))
+            assert box == (slice(9, 51), slice(19, 71)), levels
+        with pytest.raises(ConfigError, match=r"^5 level\(s\) .* image is 160x120$"):
+            flow_support(region, FlowParams(pyramid_levels=5))
+
+    def test_box_clipped_at_an_edge_keeps_one_window_side(self):
+        region = np.zeros((120, 160), dtype=bool)
+        region[0, 159] = True
+        rows, cols = flow_support(region, FlowParams(window_radius=9, smooth_sigma=0.0))
+        assert (rows, cols) == (slice(0, 19), slice(141, 160))
+
+    def test_empty_region_takes_the_whole_frame(self):
+        box = flow_support(np.zeros((120, 160), dtype=bool), FlowParams(pyramid_levels=2))
+        assert box == (slice(0, 120), slice(0, 160))
 
 
 class TestFlowParams:

@@ -13,10 +13,14 @@ from faceflow import (
     DataError,
     FrameSequence,
     Image,
+    RegionMotion,
     decode_pgm,
     decode_ppm,
+    default_region_map,
     encode_pgm,
     load_sequence,
+    make_grid,
+    synth_expression,
 )
 
 
@@ -207,6 +211,41 @@ class TestImageTypes:
         assert len(seq) == 3
         assert seq[1] is frames[1]
         assert tuple(seq) == frames
+
+
+def _sequence_built(kind, tmp_path):
+    """A 4-frame 96x72 sequence: decoded files, synth renders, or Images."""
+    if kind == "synth":
+        motions = (RegionMotion("mouth", amplitude=2.0, onset=1, apex=2, offset=3),)
+        return synth_expression(96, 72, make_grid(96, 72), default_region_map(), motions, 4,
+                                seed=1)[0]
+    frames = [Image(np.full((72, 96), i / 4)) for i in range(4)]
+    if kind == "images":
+        return FrameSequence(tuple(frames))
+    for i, frame in enumerate(frames):
+        (tmp_path / f"frame_{i}.pgm").write_bytes(encode_pgm(frame))
+    return load_sequence(tmp_path)
+
+
+class TestSequenceSlicing:
+    @pytest.mark.parametrize("kind", ["files", "synth", "images"])
+    @pytest.mark.parametrize("index", [slice(0, 2), slice(1, None), slice(None, None, -2)])
+    def test_slice_holds_the_same_frames(self, tmp_path, kind, index):
+        seq = _sequence_built(kind, tmp_path)
+        part = seq[index]
+        assert isinstance(part, FrameSequence)
+        assert part.frames == seq.frames[index]  # deferred frames stay deferred
+        assert (part.width, part.height) == (seq.width, seq.height)
+        picked = range(len(seq))[index]
+        assert len(part) == len(picked)
+        for frame, i in zip(part, picked):
+            assert np.array_equal(frame.pixels, seq[i].pixels)
+
+    @pytest.mark.parametrize("kind", ["files", "synth", "images"])
+    def test_empty_slice_has_no_frames(self, tmp_path, kind):
+        seq = _sequence_built(kind, tmp_path)
+        with pytest.raises(DataError, match="frame sequence has no frames"):
+            seq[4:]
 
 
 class TestLoadSequence:

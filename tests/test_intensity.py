@@ -102,6 +102,23 @@ class TestRegionMeanMagnitude:
         with pytest.raises(DataError, match="mask is 4x5, flow is 4x4"):
             region_mean_magnitude(field, np.ones((5, 4), dtype=bool))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_mask_must_be_boolean(self, dtype):
+        field = uniform_field(4, 4, 1.0, 0.0)
+        mask = np.zeros((4, 4), dtype=dtype)
+        mask[:2] = 1
+        with pytest.raises(DataError, match=f"^mask must be boolean, got {np.dtype(dtype)}$"):
+            region_mean_magnitude(field, mask)
+
+    @pytest.mark.parametrize("rows", [4, 2, 0])
+    def test_count_is_a_python_int(self, rows):
+        field = uniform_field(4, 4, 1.0, 0.0)
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[:rows] = True
+        value, count = region_mean_magnitude(field, mask)
+        assert type(value) is float and type(count) is int
+        assert count == 4 * rows
+
     @pytest.mark.parametrize("case", ["all true", "one invalid pixel", "partial mask"])
     def test_view_sum_matches_the_masked_gather(self, case):
         # A non-contiguous 160x320 view of a wider field, as a region's view of
@@ -766,11 +783,20 @@ class TestRunWideWork:
 class TestTracerContract:
     """What a tracer wrapping the flow and reduction entry points relies on.
 
-    It replaces faceflow.intensity.pyramidal_lk and .region_mean_magnitude
-    and faceflow.flow.sample_bilinear where they are looked up, reads the
-    valid mask of every field pyramidal_lk returns, and needs a solve span
-    per pair and a reduction span per region and pair.
+    It replaces faceflow.intensity.lucas_kanade, .pyramidal_lk and
+    .region_mean_magnitude and faceflow.flow.sample_bilinear where they are
+    looked up, reads the valid mask of every field pyramidal_lk returns, and
+    needs a solve span per pair and a reduction span per region and pair.
     """
+
+    @pytest.mark.parametrize("module, name", [
+        (faceflow.intensity, "lucas_kanade"),
+        (faceflow.intensity, "pyramidal_lk"),
+        (faceflow.intensity, "region_mean_magnitude"),
+        (faceflow.flow, "sample_bilinear"),
+    ])
+    def test_patched_name_exists(self, module, name):
+        assert callable(getattr(module, name))
 
     @pytest.mark.parametrize("mode", ["reference", "consecutive"])
     @pytest.mark.parametrize("levels", [1, 3])
