@@ -159,9 +159,9 @@ def _add_opts(parser: argparse.ArgumentParser, opts: tuple[_Opt, ...]) -> None:
 
 
 def _read_text(path: str, what: str, error: type[Exception] = ConfigError) -> str:
-    """Text of an input file; an unreadable or undecodable one raises `error` naming it."""
+    """UTF-8 text of an input file, less any byte-order mark; `error` naming it if unreadable."""
     try:
-        return Path(path).read_text("utf-8")
+        return Path(path).read_text("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{what} {path}: {exc}") from exc
 

@@ -10,8 +10,14 @@ with window sums taken over the (2r+1)^2 neighborhood clipped to the image.
 The solve divides every sum by (2r+1)^2, which leaves (u, v) unchanged.
 Pixels whose structure tensor is near-singular (aperture problem, flat
 patches) are marked invalid. A coarse-to-fine pyramid extends the usable
-displacement range beyond the ~1 px linearization limit; it can solve its
-finest level only around given groups of pixels.
+displacement range beyond the ~1 px linearization limit.
+
+Flow on boxes of a frame takes three steps. stage_frame readies each frame
+once: its coarser pyramid levels and each box's smoothed finest-level crop.
+align_pair solves a pair's coarser levels once, on the whole frames, and
+gives each box the second frame's aligned, smoothed input and a prior flow.
+finish_flow adds the prior to the finest level's solve. pyramidal_lk runs
+them on one whole-frame box.
 """
 
 from __future__ import annotations
@@ -174,13 +180,13 @@ def _window_coverage(n: int, radius: int) -> np.ndarray:
 
 
 def _solve_lk(a1: np.ndarray, a2: np.ndarray, p: FlowParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-level Lucas-Kanade on raw pixel arrays; returns (u, v, valid).
+    """Single-level Lucas-Kanade on arrays smoothed with p.smooth_sigma; returns (u, v, valid).
 
     The five tensor products share one (5, h, w) buffer that is box-summed and
     solved in place; beyond it the solve needs two scratch planes.
     """
     buf = np.empty((5, *a1.shape), dtype=np.float64)
-    _gradients_into(_smooth_array(a1, p.smooth_sigma), _smooth_array(a2, p.smooth_sigma), buf)
+    _gradients_into(a1, a2, buf)
     ix, iy, it = buf[0], buf[1], buf[2]
     np.multiply(ix, it, out=buf[3])
     np.multiply(iy, it, out=buf[4])
@@ -273,16 +279,6 @@ def sample_bilinear(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nd
     return top
 
 
-def _warp_by_flow(
-    a: np.ndarray, u: np.ndarray, v: np.ndarray, box: tuple[slice, slice]
-) -> np.ndarray:
-    # a sampled at each pixel (x, y) of box plus (u, v), given on box; the
-    # shifted points may lie anywhere in a.
-    h, w = a.shape
-    return sample_bilinear(a, np.arange(w, dtype=np.float64)[box[1]] + u,
-                           np.arange(h, dtype=np.float64)[box[0], None] + v)
-
-
 def _box_downsample(a: np.ndarray) -> np.ndarray:
     # 2x2 box average; odd trailing rows/columns are dropped.
     h2, w2 = a.shape[0] // 2, a.shape[1] // 2
@@ -290,16 +286,23 @@ def _box_downsample(a: np.ndarray) -> np.ndarray:
     return 0.25 * (t[0::2, 0::2] + t[0::2, 1::2] + t[1::2, 0::2] + t[1::2, 1::2])
 
 
-def _upsample_flow(
-    f: np.ndarray, shape: tuple[int, int], box: tuple[slice, slice]
-) -> np.ndarray:
-    # Nearest-neighbor 2x upsampling to shape, on box only; displacements
-    # double with resolution.
-    ys = np.minimum(np.arange(shape[0])[box[0]] // 2, f.shape[0] - 1)
-    xs = np.minimum(np.arange(shape[1])[box[1]] // 2, f.shape[1] - 1)
-    up = f.take(ys, axis=0).take(xs, axis=1)
-    up *= 2.0
-    return up
+def _aligned(
+    a: np.ndarray, u: np.ndarray, v: np.ndarray, box: tuple[slice, slice]
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """a on box sampled at x + prior, and the prior: the coarser level's (u, v)
+    upsampled 2x to a's shape by nearest neighbour, on box only.
+
+    Displacements double with resolution. The shifted points may lie anywhere
+    in a; zero prior flow leaves a's crop as it is.
+    """
+    rows, cols = np.arange(a.shape[0])[box[0]], np.arange(a.shape[1])[box[1]]
+    ys, xs = np.minimum(rows // 2, u.shape[0] - 1), np.minimum(cols // 2, u.shape[1] - 1)
+    prior = u.take(ys, axis=0).take(xs, axis=1), v.take(ys, axis=0).take(xs, axis=1)
+    for f in prior:
+        f *= 2.0
+    if not (prior[0].any() or prior[1].any()):
+        return a[box], prior
+    return sample_bilinear(a, cols + prior[0], rows[:, None] + prior[1]), prior
 
 
 def _check_fits(width: int, height: int, p: FlowParams) -> None:
@@ -345,8 +348,8 @@ def flow_support(region: np.ndarray, p: FlowParams) -> tuple[slice, slice]:
     ceil(3 sigma) of it: the window, the central difference and the smoothing
     kernel. The box is the region's bounding box grown by that halo, clipped
     to the frame and at least one window side long; an empty region's box is
-    the whole frame. It holds at any pyramid depth: pyramidal_lk solves only
-    its finest level on a box, and that level's warp samples the whole of i2.
+    the whole frame. It holds at any pyramid depth: only the finest level is
+    solved on a box, and align_pair's warp samples the whole second frame.
 
     Checks first that the frame fits all of p, so an error names its size.
     """
@@ -368,88 +371,81 @@ def flow_support(region: np.ndarray, p: FlowParams) -> tuple[slice, slice]:
     return grow(rows, height), grow(cols, width)
 
 
-def pyramidal_lk(
-    i1: Image, i2: Image, p: FlowParams = FlowParams(), *, groups: list[np.ndarray] | None = None
-) -> FlowField:
+class FrameStage(NamedTuple):
+    """A frame made ready, once, for flow on a list of boxes.
+
+    levels holds its coarser pyramid levels, finest first, and pixels the
+    frame itself, which the warp samples; at one level levels is empty and
+    pixels None. crops holds each box's finest-level crop, smoothed.
+    """
+
+    levels: list[np.ndarray]
+    pixels: np.ndarray | None
+    crops: list[Image]
+
+
+def stage_frame(frame: Image, boxes: list[tuple[slice, slice]], p: FlowParams) -> FrameStage:
+    """The frame's stage for flow on boxes with p (see FrameStage)."""
+    levels = [frame.pixels]
+    for _ in range(p.pyramid_levels - 1):
+        levels.append(_box_downsample(levels[-1]))
+    crops = [Image(_smooth_array(frame.pixels[box], p.smooth_sigma)) for box in boxes]
+    return FrameStage(levels[1:], frame.pixels if p.pyramid_levels > 1 else None, crops)
+
+
+def align_pair(first: FrameStage, second: FrameStage, boxes: list[tuple[slice, slice]],
+               p: FlowParams):
+    """For each box, the second frame's smoothed finest-level input and the prior flow.
+
+    At one level the input is second's staged crop and the prior is None.
+    Under a pyramid the coarser levels are solved once, on the whole frames,
+    when the first box is asked for: each level solves for the residual
+    motion left after warping by the flow of the level below. A box's prior
+    (u, v) is their flow upsampled to it, and its input is second's frame
+    sampled at x + prior, then smoothed.
+    """
+    if second.pixels is None:
+        yield from ((crop, None) for crop in second.crops)
+        return
+    levels = reversed(list(zip(first.levels, second.levels)))
+    a1, a2 = next(levels)  # the coarsest level has no prior
+    u, v, _ = _solve_lk(_smooth_array(a1, p.smooth_sigma), _smooth_array(a2, p.smooth_sigma), p)
+    for a1, a2 in levels:
+        a2, (pu, pv) = _aligned(a2, u, v, (slice(None), slice(None)))
+        u, v, _ = _solve_lk(_smooth_array(a1, p.smooth_sigma), _smooth_array(a2, p.smooth_sigma), p)
+        u += pu
+        v += pv
+    for box in boxes:
+        moved, prior = _aligned(second.pixels, u, v, box)
+        yield Image(_smooth_array(moved, p.smooth_sigma)), prior
+
+
+def finish_flow(flow: FlowField, prior: tuple[np.ndarray, np.ndarray] | None) -> FlowField:
+    """flow, solved on an input aligned by prior, plus prior, and zero wherever invalid.
+
+    Works in place. Without the zeroing, coarser estimates would carry
+    through pixels the finest level rejects.
+    """
+    if prior is not None:
+        invalid = ~flow.valid
+        for solved, coarse in zip((flow.u, flow.v), prior):
+            solved += coarse
+            solved[invalid] = 0.0
+    return flow
+
+
+def pyramidal_lk(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowField:
     """Coarse-to-fine flow for displacements beyond the ~1 px single-level range.
 
-    Each level solves for the residual motion left after warping i2 by the
-    upsampled coarser flow. With pyramid_levels = 1 it is the single-level
-    solve, which lucas_kanade also runs.
-
-    groups, boolean (height, width) masks, limits the finest level to the
-    pixels they hold. Every coarser level is still solved on the whole
-    frames. The finest level is solved on each group's flow box alone
-    (flow_support), its warp sampling all of i2 at x + u. The field is
-    whole-frame: a group's pixels get its box's flow, the whole-frame flow up
-    to rounding in the window sums, and every other pixel is invalid with
-    u = v = 0. A pixel in several groups takes the last one's flow.
+    The staged path on one whole-frame box: stage_frame, align_pair, the
+    finest level solved on the smoothed inputs, and finish_flow. With
+    pyramid_levels = 1 it is the single-level solve, which lucas_kanade
+    also runs.
     """
     _require_same_shape(i1, i2)
     _check_fits(i1.width, i1.height, p)
-
-    levels = [(i1.pixels, i2.pixels)]
-    for _ in range(p.pyramid_levels - 1):
-        a1, a2 = levels[-1]
-        levels.append((_box_downsample(a1), _box_downsample(a2)))
-
-    u = v = None
-    for a1, a2 in reversed(levels if groups is None else levels[1:]):
-        u, v, valid = _refine(a1, a2, u, v, p, (slice(None), slice(None)))
-    if groups is not None:
-        return _refine_groups(*levels[0], u, v, p, groups)
-    if p.pyramid_levels > 1:
-        _zero_invalid(u, v, valid)
-    return FlowField(u=u, v=v, valid=valid)
-
-
-def _zero_invalid(u: np.ndarray, v: np.ndarray, valid: np.ndarray) -> None:
-    # Coarser estimates carry through pixels the finest level rejects.
-    invalid = ~valid
-    u[invalid] = 0.0
-    v[invalid] = 0.0
-
-
-def _refine(
-    a1: np.ndarray, a2: np.ndarray, u: np.ndarray | None, v: np.ndarray | None,
-    p: FlowParams, box: tuple[slice, slice],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level's (u, v, valid) on box: the coarser level's flow, upsampled,
-    plus the residual left after warping a2 by it. At the coarsest level u
-    and v are None and the flow is solved directly.
-    """
-    second = a2[box]
-    if u is None:
-        return _solve_lk(a1[box], second, p)
-    u = _upsample_flow(u, a1.shape, box)
-    v = _upsample_flow(v, a1.shape, box)
-    if u.any() or v.any():
-        second = _warp_by_flow(a2, u, v, box)
-    du, dv, valid = _solve_lk(a1[box], second, p)
-    du += u
-    dv += v
-    return du, dv, valid
-
-
-def _refine_groups(
-    a1: np.ndarray, a2: np.ndarray, u: np.ndarray | None, v: np.ndarray | None,
-    p: FlowParams, groups: list[np.ndarray],
-) -> FlowField:
-    """_refine on each group's flow box, kept on the group's pixels.
-
-    Every other pixel is invalid with u = v = 0.
-    """
-    field = FlowField(u=np.zeros(a1.shape), v=np.zeros(a1.shape),
-                      valid=np.zeros(a1.shape, dtype=bool))
-    for group in groups:
-        if group.shape != a1.shape:
-            raise DataError(f"group mask is {group.shape[1]}x{group.shape[0]}, "
-                            f"frames are {a1.shape[1]}x{a1.shape[0]}")
-        if group.dtype != bool:
-            raise DataError(f"group mask must be boolean, got {group.dtype}")
-        box = flow_support(group, p)
-        du, dv, ok = _refine(a1, a2, u, v, p, box)
-        _zero_invalid(du, dv, ok)
-        for out, solved in zip((field.u, field.v, field.valid), (du, dv, ok)):
-            np.copyto(out[box], solved, where=group[box])
-    return field
+    whole = [(slice(0, i1.height), slice(0, i1.width))]
+    first, second = stage_frame(i1, whole, p), stage_frame(i2, whole, p)
+    (moved, prior), = align_pair(first, second, whole, p)
+    u, v, valid = _solve_lk(first.crops[0].pixels, moved.pixels, p)
+    return finish_flow(FlowField(u=u, v=v, valid=valid), prior)

@@ -9,22 +9,21 @@ the image diagonal, once, so its values are resolution-independent.
 Flow is solved only on flow boxes (the rule is flow.flow_support's). Region
 pixels that share an edge form a group, and each group gets its own box when
 the group boxes together are smaller than the one box around all regions;
-otherwise that one box is solved. At one pyramid level each box is solved on
-its own crops. A pyramid is called once per pair on the whole frames with the
-groups' masks: it solves its coarser levels on the whole frames and its
-finest level on each box. A region inside one box is reduced on a view of
-that box's flow; a region whose pixels lie in several groups is pasted from
-their boxes into its own bounding box first, so its pixels are reduced in the
-same row-major order either way.
+otherwise that one box is solved. A region inside one box is reduced on a
+view of that box's flow; a region whose pixels lie in several groups is
+pasted from their boxes into its own bounding box first, so its pixels are
+reduced in the same row-major order either way.
 
 Work that is the same for every pair is done once: the boxes, the region
 crops and their places are fixed before the first pair, and each frame is
-staged once where it can be. At one pyramid level a frame's stage is its box
-crops, smoothed (smoothing is the first step of the single-level solve, so
-smoothing first and solving with sigma 0 is the same arithmetic); under a
-pyramid it is the decoded frame. Frame pairs are independent, so contiguous
-runs of pairs are solved on a thread pool with one worker per available CPU;
-numpy and scipy release the interpreter lock in decoding and the flow solve.
+staged once (flow.stage_frame): its coarser pyramid levels, if any, and its
+box crops, smoothed (smoothing is the first step of the single-level solve,
+so smoothing first and solving with sigma 0 is the same arithmetic). A pair
+solves its coarser levels once, on the whole frames (flow.align_pair), and
+then each box at one level, on the first frame's staged crop and the second
+frame's aligned input. Frame pairs are independent, so contiguous runs of
+pairs are solved on a thread pool with one worker per available CPU; numpy
+and scipy release the interpreter lock in decoding and the flow solve.
 A run decodes its frames itself and carries each frame's stage to the next
 pair, and reference mode stages frame 0 once, so frames are never all held
 at once. Each pair's row is stored by its index, so the series is identical
@@ -47,11 +46,14 @@ from .errors import ConfigError, DataError
 from .flow import (  # noqa: F401
     FlowField,
     FlowParams,
+    FrameStage,
+    align_pair,
     bounding_box,
+    finish_flow,
     flow_support,
-    gaussian_smooth,
     lucas_kanade,
     pyramidal_lk,
+    stage_frame,
 )
 from .imageio import FrameSequence, Image
 from .regions import GridSpec, RegionMap, region_mask
@@ -220,28 +222,19 @@ def intensity_series(
             for k, inner in pieces:
                 pastes[k].append((j, _shift(inner, outer), _shift(inner, boxes[k][0])))
 
-    # At one level a frame's stage is its smoothed box crops, and each box is
-    # solved on its own crops. A pyramid solves its coarse levels on the whole
-    # frames and smooths inside pyramidal_lk, after its warp, so its stage is
-    # the whole frame; it takes the groups and is called once per pair.
-    one_level = params.pyramid_levels == 1
-    solve_params = replace(params, smooth_sigma=0.0)
+    # Each box's flow is a single-level solve with sigma 0 on the first
+    # frame's smoothed crop and the second's aligned input, finished with the
+    # prior that aligned it.
+    flow_boxes = [box for box, _ in boxes]
+    solve_params = replace(params, smooth_sigma=0.0, pyramid_levels=1)
 
-    def stage(frame: Image):
-        if one_level:
-            return [gaussian_smooth(Image(frame.pixels[box]), params.smooth_sigma)
-                    for box, _ in boxes]
-        return frame
+    def stage(frame: Image) -> FrameStage:
+        return stage_frame(frame, flow_boxes, params)
 
-    def box_flows(first, second):
-        """The pair's flow on each box, in box order; at one level each is solved when asked for."""
-        if one_level:
-            for a, b in zip(first, second):
-                yield pyramidal_lk(a, b, solve_params)
-        elif boxes:
-            flow = pyramidal_lk(first, second, params, groups=[owned for _, owned in boxes])
-            for box, _ in boxes:
-                yield FlowField(u=flow.u[box], v=flow.v[box], valid=flow.valid[box])
+    def box_flows(first: FrameStage, second: FrameStage):
+        """The pair's flow on each box, in box order, each solved when asked for."""
+        for crop, (moved, prior) in zip(first.crops, align_pair(first, second, flow_boxes, params)):
+            yield finish_flow(pyramidal_lk(crop, moved, solve_params), prior)
 
     def pair_row(first, second) -> list[tuple[float, int]]:
         row = [None] * len(names)

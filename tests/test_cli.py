@@ -1111,6 +1111,39 @@ def _empty_region_map(tmp_path):
     return layout
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+class TestByteOrderMark:
+    """A text input that starts with a UTF-8 byte-order mark reads as without one."""
+
+    def test_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "frames"
+        cfg.write_bytes(BOM + f"out = {out}\ncount = 3\n".encode())
+        assert _run_main(["synth", "--config", str(cfg)]) == (EXIT_OK, "")
+        assert len(list(out.glob("*.pgm"))) == 3
+
+    def test_region_map(self, tiny_run, tmp_path):
+        text = b"region lips = r4c1, r4c2\n"
+        for name, data in (("plain", text), ("bom", BOM + text)):
+            (tmp_path / f"{name}.regions").write_bytes(data)
+            assert _run_main(["series", "--frames", str(tiny_run / "frames"),
+                              "--out", str(tmp_path / name),
+                              "--regions", str(tmp_path / f"{name}.regions")]) == (EXIT_OK, "")
+        assert (tmp_path / "bom" / "series.csv").read_bytes() == \
+            (tmp_path / "plain" / "series.csv").read_bytes()
+
+    def test_series_csv(self, tmp_path):
+        text = b"frame,a,b\n1,0.5,0.1\n2,0.9,0.2\n3,0.4,0.1\n"
+        for name, data in (("plain", text), ("bom", BOM + text)):
+            (tmp_path / f"{name}.csv").write_bytes(data)
+            assert _run_main(["analyze", "--series", str(tmp_path / f"{name}.csv"),
+                              "--out", str(tmp_path / name)]) == (EXIT_OK, "")
+        assert (tmp_path / "bom" / "report.json").read_bytes() == \
+            (tmp_path / "plain" / "report.json").read_bytes()
+
+
 class TestEmptyRegionMap:
     @pytest.mark.parametrize("command", ["series"])
     def test_rejected_before_any_frame_is_decoded(self, mouth_run, tmp_path, capsys, monkeypatch,

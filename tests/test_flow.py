@@ -21,7 +21,7 @@ from faceflow import (
     spatiotemporal_gradients,
     translate_sequence,
 )
-from faceflow.flow import FlowField, _window_means, flow_support
+from faceflow.flow import FlowField, _window_means, flow_support, stage_frame
 
 INTERIOR = 9  # margin past the default window radius, clear of border effects
 
@@ -323,37 +323,6 @@ class TestPyramidalLk:
         valid = field.valid[m:-m, m:-m]
         assert abs(u[valid].mean() - 4.0) <= 0.3
 
-    @pytest.mark.parametrize("levels", [1, 2, 3])
-    def test_groups_match_the_whole_frame_solve(self, levels):
-        # The finest level on each group's box gives the group's pixels their
-        # whole-frame flow up to rounding; every other pixel is invalid and 0.
-        i1, i2 = shifted_pair(160, 120, 1.1, -0.6, 3)
-        groups = [np.zeros((120, 160), dtype=bool) for _ in range(2)]
-        groups[0][20:40, 30:60] = True
-        groups[1][70:100, 100:150] = True
-        groups[1][90:100, 20:30] = True  # two parts, one box around both
-        p = FlowParams(pyramid_levels=levels)
-        whole = pyramidal_lk(i1, i2, p)
-        boxed = pyramidal_lk(i1, i2, p, groups=groups)
-        inside = groups[0] | groups[1]
-        assert np.array_equal(boxed.valid, whole.valid & inside)
-        assert boxed.valid.sum() > 0.9 * inside.sum()
-        for got, expected in ((boxed.u, whole.u), (boxed.v, whole.v)):
-            np.testing.assert_allclose(got[inside], expected[inside], rtol=1e-12, atol=0)
-            assert not got[~inside].any()
-
-    def test_group_mask_must_match_the_frames(self):
-        img = make_texture(64, 48, seed=1)
-        with pytest.raises(DataError, match="^group mask is 48x64, frames are 64x48$"):
-            pyramidal_lk(img, img, FlowParams(pyramid_levels=2), groups=[np.ones((64, 48), bool)])
-
-    def test_group_mask_must_be_boolean(self):
-        img = make_texture(64, 48, seed=1)
-        group = np.zeros((48, 64), dtype=np.uint8)
-        group[10:20, 10:30] = 1
-        with pytest.raises(DataError, match="^group mask must be boolean, got uint8$"):
-            pyramidal_lk(img, img, FlowParams(pyramid_levels=2), groups=[group])
-
     def test_too_many_levels_rejected(self):
         img = Image(np.zeros((16, 16)))
         with pytest.raises(ConfigError, match=r"level\(s\) with window radius"):
@@ -428,6 +397,25 @@ class TestFlowSupport:
     def test_empty_region_takes_the_whole_frame(self):
         box = flow_support(np.zeros((120, 160), dtype=bool), FlowParams(pyramid_levels=2))
         assert box == (slice(0, 120), slice(0, 160))
+
+
+class TestStageFrame:
+    BOXES = [(slice(9, 51), slice(19, 71)), (slice(0, 120), slice(0, 160))]
+
+    def test_one_level_keeps_only_the_smoothed_crops(self):
+        frame = make_texture(160, 120, seed=2)
+        stage = stage_frame(frame, self.BOXES, FlowParams())
+        assert stage.levels == [] and stage.pixels is None
+        for crop, box in zip(stage.crops, self.BOXES):
+            assert np.array_equal(crop.pixels, gaussian_smooth(Image(frame.pixels[box]), 1.0).pixels)
+            assert not np.shares_memory(crop.pixels, frame.pixels)
+
+    def test_pyramid_keeps_the_frame_and_its_coarser_levels(self):
+        frame = make_texture(160, 120, seed=2)
+        stage = stage_frame(frame, self.BOXES, FlowParams(pyramid_levels=3))
+        assert stage.pixels is frame.pixels
+        assert [level.shape for level in stage.levels] == [(60, 80), (30, 40)]
+        assert len(stage.crops) == 2
 
 
 class TestFlowParams:

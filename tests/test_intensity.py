@@ -23,6 +23,7 @@ from faceflow import (
     Image,
     IntensitySeries,
     default_region_map,
+    decode_pgm,
     default_region_text,
     displacement_magnitude,
     encode_pgm,
@@ -546,9 +547,10 @@ class TestFlowBox:
         assert counts.min() > 0
         np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("levels, shape", [(1, (86, 128)), (2, (96, 128))])
+    @pytest.mark.parametrize("levels, shape", [(1, (86, 128)), (2, (86, 128))])
     def test_solve_sees_the_box(self, monkeypatch, levels, shape):
-        # Default map on 128x96: rows 16-79 plus an 11-pixel halo, all columns.
+        # Default map on 128x96: rows 16-79 plus an 11-pixel halo, all columns,
+        # at every pyramid depth.
         shapes = []
         solve = faceflow.intensity.pyramidal_lk
 
@@ -565,14 +567,14 @@ class TestFlowBox:
     @pytest.mark.parametrize("text, levels, calls, solves", [
         (None, 1, BOXES_640, BOXES_640),
         (CELLS24, 1, [(480, 640)], [(480, 640)]),
-        (None, 2, [(480, 640)], [(240, 320), *BOXES_640]),
+        (None, 2, BOXES_640, [(240, 320), *BOXES_640]),
         (CELLS24, 2, [(480, 640)], [(240, 320), (480, 640)]),
     ], ids=["default-map", "cells24", "pyramid", "pyramid-cells24"])
     def test_one_solve_per_group_box(self, monkeypatch, text, levels, calls, solves):
         # 640x480 default map: eyes, the two cheek cells and mouth, each grown
-        # by the 11-pixel halo. One group keeps the whole frame. A pyramid is
-        # called once per pair on whole frames, solves its coarse level there
-        # and its finest level on the same boxes.
+        # by the 11-pixel halo. One group keeps the whole frame. A pyramid
+        # solves its coarse level once per pair on the whole frames, and
+        # pyramidal_lk solves the finest level on the same boxes.
         called, solved = [], []
         solve, solve_lk = faceflow.intensity.pyramidal_lk, faceflow.flow._solve_lk
 
@@ -630,7 +632,7 @@ def box_area(box):
 def two_level_box_flow(first, second, params, box):
     """Two-level flow on box: the coarse level on whole half-size frames, the finest on box alone.
 
-    Written out apart from pyramidal_lk's groups: 2x2 box averages, the
+    Written out apart from flow's staged path: 2x2 box averages, the
     coarse flow doubled and upsampled by nearest neighbour, second sampled
     at x + u, the residual solved on the crops and added, and the sum zeroed
     where the residual is invalid.
@@ -717,16 +719,16 @@ class TestRunWideWork:
         assert values.any()
 
     @pytest.mark.parametrize(
-        "mode, levels, smooths",
-        [("reference", 1, 5), ("consecutive", 1, 5), ("reference", 2, 0), ("consecutive", 2, 0)],
+        "mode, levels, stages",
+        [("reference", 1, 5), ("consecutive", 1, 5), ("reference", 2, 5), ("consecutive", 2, 5)],
     )
-    def test_calls_per_run_and_per_pair(self, monkeypatch, mode, levels, smooths):
-        # One worker solves the 4 pairs in one run, and at one level each
-        # frame's crops are smoothed once: frame 0 as the reference or as the
-        # run's first frame, every later frame as it arrives.
+    def test_calls_per_run_and_per_pair(self, monkeypatch, mode, levels, stages):
+        # One worker solves the 4 pairs in one run, and at every depth each
+        # frame is staged once: frame 0 as the reference or as the run's
+        # first frame, every later frame as it arrives.
         monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: 1)
         # Pool workers append; list.append is atomic where += on a count is not.
-        calls = {"gaussian_smooth": [], "pyramidal_lk": [], "region_mean_magnitude": []}
+        calls = {"stage_frame": [], "pyramidal_lk": [], "region_mean_magnitude": []}
 
         def record(name):
             fn = getattr(faceflow.intensity, name)
@@ -744,7 +746,25 @@ class TestRunWideWork:
                          FlowParams(pyramid_levels=levels), mode=mode)
         # 5 frames, 4 pairs, 3 regions.
         counts = {name: len(made) for name, made in calls.items()}
-        assert counts == {"gaussian_smooth": smooths, "pyramidal_lk": 4, "region_mean_magnitude": 12}
+        assert counts == {"stage_frame": stages, "pyramidal_lk": 4, "region_mean_magnitude": 12}
+
+    @pytest.mark.parametrize("mode", ["reference", "consecutive"])
+    def test_each_frame_pyramid_built_once(self, monkeypatch, mode):
+        # 6 frames with 3 levels: each frame is downsampled twice, once per
+        # series, however many pairs it is in.
+        monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: 1)
+        downsampled = []
+        downsample = faceflow.flow._box_downsample
+
+        def recording_downsample(a):
+            downsampled.append(a.shape)
+            return downsample(a)
+
+        monkeypatch.setattr(faceflow.flow, "_box_downsample", recording_downsample)
+        seq, _ = translate_sequence(make_texture(128, 128, seed=2), 0.8, 0.3, 6)
+        intensity_series(seq, make_grid(128, 128), default_region_map(),
+                         FlowParams(pyramid_levels=3), mode=mode)
+        assert downsampled == [(128, 128), (64, 64)] * 6
 
     @pytest.mark.parametrize("mode", ["reference", "consecutive"])
     def test_empty_region_gives_zeros(self, mode):
@@ -786,7 +806,8 @@ class TestTracerContract:
     It replaces faceflow.intensity.lucas_kanade, .pyramidal_lk and
     .region_mean_magnitude and faceflow.flow.sample_bilinear where they are
     looked up, reads the valid mask of every field pyramidal_lk returns, and
-    needs a solve span per pair and a reduction span per region and pair.
+    needs a solve span per flow box and pair, at every pyramid depth, and a
+    reduction span per region and pair.
     """
 
     @pytest.mark.parametrize("module, name", [
@@ -830,3 +851,16 @@ class TestTracerContract:
         assert bool(results["sample_bilinear"]) == (levels > 1)
         assert np.array_equal(traced.values, plain.values)
         assert np.array_equal(traced.counts, plain.counts)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 12: a brightness change on still "
+                   "frames reads as motion (1.4e-3 to 1.9e-3 here)")
+def test_brightness_ramp_on_still_frames_reads_as_no_motion():
+    # A still texture whose frames 1-4 brighten by a gain that ramps to 1.01,
+    # each frame re-quantized to 8 bits. Every region should stay below the
+    # paper's smallest reported magnitude, 0.4e-4 of the diagonal.
+    base = make_texture(160, 120, seed=5)
+    frames = tuple(decode_pgm(encode_pgm(Image(base.pixels * (1 + 0.01 * t / 4))))
+                   for t in range(5))
+    series = intensity_series(FrameSequence(frames), make_grid(160, 120), default_region_map())
+    assert (series.values[-1] < 0.4e-4).all(), series.values[-1]
