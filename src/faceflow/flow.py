@@ -13,7 +13,7 @@ patches) are marked invalid. A coarse-to-fine pyramid extends the usable
 displacement range beyond the ~1 px linearization limit.
 
 Flow on boxes of a frame takes three steps. stage_frame readies each frame
-once: its coarser pyramid levels and each box's smoothed finest-level crop.
+once: its pyramid levels and the smoothed crops of the boxes a pair reads.
 align_pair solves a pair's coarser levels once, on the whole frames, and
 gives each box the second frame's aligned, smoothed input and a prior flow.
 finish_flow adds the prior to the finest level's solve. pyramidal_lk runs
@@ -183,7 +183,7 @@ def _solve_lk(a1: np.ndarray, a2: np.ndarray, p: FlowParams) -> tuple[np.ndarray
     """Single-level Lucas-Kanade on arrays smoothed with p.smooth_sigma; returns (u, v, valid).
 
     The five tensor products share one (5, h, w) buffer that is box-summed and
-    solved in place; beyond it the solve needs two scratch planes.
+    solved in place; u and v are the two scratch planes beyond it.
     """
     buf = np.empty((5, *a1.shape), dtype=np.float64)
     _gradients_into(a1, a2, buf)
@@ -212,23 +212,20 @@ def _solve_lk(a1: np.ndarray, a2: np.ndarray, p: FlowParams) -> tuple[np.ndarray
     scratch *= p.eigen_threshold
     valid = lam_min >= scratch
 
-    det = np.multiply(sxx, syy, out=lam_min)
-    det -= np.multiply(sxy, sxy, out=scratch)
+    v = np.multiply(sxy, sxt, out=lam_min)
+    u = np.multiply(sxy, syt, out=scratch)
+    u -= np.multiply(syy, sxt, out=sxt)
+    v -= np.multiply(sxx, syt, out=syt)
+    det = np.multiply(sxx, syy, out=sxt)
+    det -= np.multiply(sxy, sxy, out=syt)
     # det > 0 guards the eigen_threshold = 0 edge, where lam_min >= 0 alone
     # would let singular tensors through.
     valid &= det > 0.0
     invalid = ~valid
-
-    u = np.multiply(sxy, syt, out=scratch)
-    u -= np.multiply(syy, sxt, out=syy)
-    v = np.multiply(sxy, sxt, out=sxy)
-    v -= np.multiply(sxx, syt, out=sxx)
     for num in (u, v):
         np.divide(num, det, out=num, where=valid)
         num[invalid] = 0.0
-    # Free det's plane, then copy v out so the five-plane buffer dies on return.
-    del det, lam_min
-    return u, v.copy(), valid
+    return u, v, valid
 
 
 def lucas_kanade(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowField:
@@ -293,15 +290,13 @@ def _aligned(
     upsampled 2x to a's shape by nearest neighbour, on box only.
 
     Displacements double with resolution. The shifted points may lie anywhere
-    in a; zero prior flow leaves a's crop as it is.
+    in a; where the prior is zero, sample_bilinear copies a's pixels exactly.
     """
     rows, cols = np.arange(a.shape[0])[box[0]], np.arange(a.shape[1])[box[1]]
     ys, xs = np.minimum(rows // 2, u.shape[0] - 1), np.minimum(cols // 2, u.shape[1] - 1)
     prior = u.take(ys, axis=0).take(xs, axis=1), v.take(ys, axis=0).take(xs, axis=1)
     for f in prior:
         f *= 2.0
-    if not (prior[0].any() or prior[1].any()):
-        return a[box], prior
     return sample_bilinear(a, cols + prior[0], rows[:, None] + prior[1]), prior
 
 
@@ -374,23 +369,26 @@ def flow_support(region: np.ndarray, p: FlowParams) -> tuple[slice, slice]:
 class FrameStage(NamedTuple):
     """A frame made ready, once, for flow on a list of boxes.
 
-    levels holds its coarser pyramid levels, finest first, and pixels the
-    frame itself, which the warp samples; at one level levels is empty and
-    pixels None. crops holds each box's finest-level crop, smoothed.
+    Under a pyramid, levels holds the frame itself, which align_pair warps,
+    and then its coarser levels; at one level it is empty. crops holds the
+    frame's smoothed crop to each box it was staged for.
     """
 
     levels: list[np.ndarray]
-    pixels: np.ndarray | None
     crops: list[Image]
 
 
 def stage_frame(frame: Image, boxes: list[tuple[slice, slice]], p: FlowParams) -> FrameStage:
-    """The frame's stage for flow on boxes with p (see FrameStage)."""
-    levels = [frame.pixels]
+    """The frame's stage for flow with p, with each of boxes cropped and smoothed.
+
+    Under a pyramid a pair reads only its first frame's crops, as align_pair
+    warps the second's levels[0]: pass no boxes for a frame that is only ever
+    a pair's second frame.
+    """
+    levels = [frame.pixels] if p.pyramid_levels > 1 else []
     for _ in range(p.pyramid_levels - 1):
         levels.append(_box_downsample(levels[-1]))
-    crops = [Image(_smooth_array(frame.pixels[box], p.smooth_sigma)) for box in boxes]
-    return FrameStage(levels[1:], frame.pixels if p.pyramid_levels > 1 else None, crops)
+    return FrameStage(levels, [Image(_smooth_array(frame.pixels[box], p.smooth_sigma)) for box in boxes])
 
 
 def align_pair(first: FrameStage, second: FrameStage, boxes: list[tuple[slice, slice]],
@@ -398,16 +396,16 @@ def align_pair(first: FrameStage, second: FrameStage, boxes: list[tuple[slice, s
     """For each box, the second frame's smoothed finest-level input and the prior flow.
 
     At one level the input is second's staged crop and the prior is None.
-    Under a pyramid the coarser levels are solved once, on the whole frames,
-    when the first box is asked for: each level solves for the residual
-    motion left after warping by the flow of the level below. A box's prior
-    (u, v) is their flow upsampled to it, and its input is second's frame
-    sampled at x + prior, then smoothed.
+    Under a pyramid the coarser levels, levels[1:], are solved once, on the
+    whole frames, when the first box is asked for: each level solves for the
+    residual motion left after warping by the flow of the level below. A
+    box's prior (u, v) is their flow upsampled to it, and its input is
+    second.levels[0] sampled at x + prior, then smoothed.
     """
-    if second.pixels is None:
+    if not second.levels:
         yield from ((crop, None) for crop in second.crops)
         return
-    levels = reversed(list(zip(first.levels, second.levels)))
+    levels = reversed(list(zip(first.levels[1:], second.levels[1:])))
     a1, a2 = next(levels)  # the coarsest level has no prior
     u, v, _ = _solve_lk(_smooth_array(a1, p.smooth_sigma), _smooth_array(a2, p.smooth_sigma), p)
     for a1, a2 in levels:
@@ -416,7 +414,7 @@ def align_pair(first: FrameStage, second: FrameStage, boxes: list[tuple[slice, s
         u += pu
         v += pv
     for box in boxes:
-        moved, prior = _aligned(second.pixels, u, v, box)
+        moved, prior = _aligned(second.levels[0], u, v, box)
         yield Image(_smooth_array(moved, p.smooth_sigma)), prior
 
 
@@ -445,7 +443,7 @@ def pyramidal_lk(i1: Image, i2: Image, p: FlowParams = FlowParams()) -> FlowFiel
     _require_same_shape(i1, i2)
     _check_fits(i1.width, i1.height, p)
     whole = [(slice(0, i1.height), slice(0, i1.width))]
-    first, second = stage_frame(i1, whole, p), stage_frame(i2, whole, p)
+    first, second = stage_frame(i1, whole, p), stage_frame(i2, [] if p.pyramid_levels > 1 else whole, p)
     (moved, prior), = align_pair(first, second, whole, p)
     u, v, valid = _solve_lk(first.crops[0].pixels, moved.pixels, p)
     return finish_flow(FlowField(u=u, v=v, valid=valid), prior)

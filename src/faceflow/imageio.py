@@ -159,7 +159,9 @@ def _gray(raw: np.ndarray, maxval: int) -> Image:
     once by 1000 * maxval, so r=g=b=k maps to exactly k/maxval, as in P5.
     """
     if raw.shape[2] == 1:
-        return Image(raw[:, :, 0].astype(np.float64) / maxval)
+        gray = raw[:, :, 0].astype(np.float64)
+        gray /= maxval  # in place: one frame-sized float array per decode
+        return Image(gray)
     rgb = raw.astype(np.int64)
     luma = 299 * rgb[:, :, 0] + 587 * rgb[:, :, 1] + 114 * rgb[:, :, 2]
     return Image(luma / (1000 * maxval))

@@ -16,10 +16,10 @@ reduced in the same row-major order either way.
 
 Work that is the same for every pair is done once: the boxes, the region
 crops and their places are fixed before the first pair, and each frame is
-staged once (flow.stage_frame): its coarser pyramid levels, if any, and its
-box crops, smoothed (smoothing is the first step of the single-level solve,
-so smoothing first and solving with sigma 0 is the same arithmetic). A pair
-solves its coarser levels once, on the whole frames (flow.align_pair), and
+staged once (flow.stage_frame): its pyramid levels, if any, and the smoothed
+box crops a pair reads (smoothing is the first step of the single-level
+solve, so smoothing first and solving with sigma 0 is the same arithmetic).
+A pair solves its coarser levels once, on the whole frames (flow.align_pair),
 then each box at one level, on the first frame's staged crop and the second
 frame's aligned input. Frame pairs are independent, so contiguous runs of
 pairs are solved on a thread pool with one worker per available CPU; numpy
@@ -55,7 +55,7 @@ from .flow import (  # noqa: F401
     pyramidal_lk,
     stage_frame,
 )
-from .imageio import FrameSequence, Image
+from .imageio import FrameSequence
 from .regions import GridSpec, RegionMap, region_mask
 
 __all__ = [
@@ -215,21 +215,21 @@ def intensity_series(
                   if (mask & owned).any()]
         if len(pieces) == 1:
             (k, inner), = pieces
-            views[k].append((j, _shift(inner, boxes[k][0]), mask[inner]))
+            views[k].append((j, _shift(inner, boxes[k][0]), mask[inner].copy()))
         else:
             outer = bounding_box(mask)
-            canvases[j] = mask[outer]
+            canvases[j] = mask[outer].copy()
             for k, inner in pieces:
                 pastes[k].append((j, _shift(inner, outer), _shift(inner, boxes[k][0])))
+    flow_boxes = [box for box, _ in boxes]
+    del masks, mask, union, boxes  # the plan keeps box-sized mask copies only
 
     # Each box's flow is a single-level solve with sigma 0 on the first
     # frame's smoothed crop and the second's aligned input, finished with the
     # prior that aligned it.
-    flow_boxes = [box for box, _ in boxes]
     solve_params = replace(params, smooth_sigma=0.0, pyramid_levels=1)
-
-    def stage(frame: Image) -> FrameStage:
-        return stage_frame(frame, flow_boxes, params)
+    # In reference mode a later frame is only ever a pair's second frame (see stage_frame).
+    later_boxes = [] if mode == "reference" and params.pyramid_levels > 1 else flow_boxes
 
     def box_flows(first: FrameStage, second: FrameStage):
         """The pair's flow on each box, in box order, each solved when asked for."""
@@ -260,13 +260,13 @@ def intensity_series(
     counts = np.zeros((pairs, len(names)), dtype=np.int64)
     # Frame 0's stage is made once in reference mode; in consecutive mode a
     # run carries each frame's stage to its next pair.
-    reference = stage(seq[0]) if mode == "reference" else None
+    reference = stage_frame(seq[0], flow_boxes, params) if mode == "reference" else None
 
     def solve_run(start: int, stop: int) -> None:
         """Rows of pairs start..stop-1, each frame of the run decoded and staged once."""
-        first = reference if reference is not None else stage(seq[start - 1])
+        first = reference if reference is not None else stage_frame(seq[start - 1], flow_boxes, params)
         for t in range(start, stop):
-            second = stage(seq[t])
+            second = stage_frame(seq[t], later_boxes, params)
             for j, (value, count) in enumerate(pair_row(first, second)):
                 values[t - 1, j], counts[t - 1, j] = value, count
             if reference is None:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import faceflow.flow
 from faceflow import (
     ConfigError,
     DataError,
@@ -405,7 +406,7 @@ class TestStageFrame:
     def test_one_level_keeps_only_the_smoothed_crops(self):
         frame = make_texture(160, 120, seed=2)
         stage = stage_frame(frame, self.BOXES, FlowParams())
-        assert stage.levels == [] and stage.pixels is None
+        assert stage.levels == []
         for crop, box in zip(stage.crops, self.BOXES):
             assert np.array_equal(crop.pixels, gaussian_smooth(Image(frame.pixels[box]), 1.0).pixels)
             assert not np.shares_memory(crop.pixels, frame.pixels)
@@ -413,9 +414,24 @@ class TestStageFrame:
     def test_pyramid_keeps_the_frame_and_its_coarser_levels(self):
         frame = make_texture(160, 120, seed=2)
         stage = stage_frame(frame, self.BOXES, FlowParams(pyramid_levels=3))
-        assert stage.pixels is frame.pixels
-        assert [level.shape for level in stage.levels] == [(60, 80), (30, 40)]
+        assert stage.levels[0] is frame.pixels
+        assert [level.shape for level in stage.levels] == [(120, 160), (60, 80), (30, 40)]
         assert len(stage.crops) == 2
+
+    def test_pyramid_smooths_no_crop_of_the_second_frame(self, monkeypatch):
+        # Two coarse levels smooth both frames, the finest level only the
+        # first frame's crop and the second's warped input.
+        smoothed = []
+        smooth = faceflow.flow._smooth_array
+
+        def recording_smooth(pixels, sigma):
+            smoothed.append(pixels.shape)
+            return smooth(pixels, sigma)
+
+        monkeypatch.setattr(faceflow.flow, "_smooth_array", recording_smooth)
+        i1, i2 = shifted_pair(160, 120, 1.5, -0.5, seed=2)
+        pyramidal_lk(i1, i2, FlowParams(pyramid_levels=3))
+        assert smoothed == [(120, 160), (30, 40), (30, 40), (60, 80), (60, 80), (120, 160)]
 
 
 class TestFlowParams:

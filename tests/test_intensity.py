@@ -766,6 +766,29 @@ class TestRunWideWork:
                          FlowParams(pyramid_levels=3), mode=mode)
         assert downsampled == [(128, 128), (64, 64)] * 6
 
+    @pytest.mark.parametrize("mode, levels, calls", [
+        ("reference", 3, 84), ("consecutive", 3, 104), ("reference", 1, 64),
+    ])
+    def test_smooths_only_the_crops_a_pair_reads(self, monkeypatch, mode, levels, calls):
+        # 6 frames, 5 pairs, 4 group boxes at 320x240. Staging smooths each
+        # staged frame's 4 crops; each pair's 4 box solves call the smoothing
+        # twice each with sigma 0, and a 3-level pair smooths 2 coarse levels
+        # of both frames and 4 warped inputs. In reference mode under a
+        # pyramid only frame 0's crops are read, so only frame 0 has any.
+        monkeypatch.setattr(faceflow.intensity, "_available_cpus", lambda: 1)
+        smoothed = []
+        smooth = faceflow.flow._smooth_array
+
+        def recording_smooth(pixels, sigma):
+            smoothed.append(None)
+            return smooth(pixels, sigma)
+
+        monkeypatch.setattr(faceflow.flow, "_smooth_array", recording_smooth)
+        seq, _ = translate_sequence(make_texture(320, 240, seed=2), 0.8, 0.3, 6)
+        intensity_series(seq, make_grid(320, 240), default_region_map(),
+                         FlowParams(pyramid_levels=levels), mode=mode)
+        assert len(smoothed) == calls
+
     @pytest.mark.parametrize("mode", ["reference", "consecutive"])
     def test_empty_region_gives_zeros(self, mode):
         seq, _ = translate_sequence(make_texture(64, 64, seed=5), 0.4, 0.0, 4)
