@@ -161,19 +161,12 @@ def build_report(series: IntensitySeries, params: AnalysisParams = AnalysisParam
     # sorted is stable, so equal peaks keep the column order.
     order = sorted(series.regions, key=lambda name: -per_region[name].peak_value)
     top = per_region[order[0]].peak_value
-    if top <= 0:
-        dominant = None
-        deformed: tuple[str, ...] = ()
-    else:
-        dominant = order[0]
-        deformed = tuple(
-            name for name in order
-            if per_region[name].peak_value > 0 and per_region[name].peak_value >= params.rho * top
-        )
+    # rho <= 1, so the top region is the first deformed one whenever its peak is positive.
+    deformed = tuple(name for name in order if 0 < per_region[name].peak_value >= params.rho * top)
 
     return ExpressionReport(
         per_region=per_region,
-        dominant_region=dominant,
+        dominant_region=deformed[0] if deformed else None,
         deformed_regions=deformed,
         params=params,
     )

@@ -9,10 +9,10 @@ the image diagonal, once, so its values are resolution-independent.
 Flow is solved only on flow boxes (the rule is flow.flow_support's). Region
 pixels that share an edge form a group, and each group gets its own box when
 the group boxes together are smaller than the one box around all regions;
-otherwise that one box is solved. A region inside one box is reduced on a
-view of that box's flow; a region whose pixels lie in several groups is
-pasted from their boxes into its own bounding box first, so its pixels are
-reduced in the same row-major order either way.
+otherwise that one box is solved. One plan lists each box's region pieces:
+a region inside one box is reduced on a view of that box's flow, and a split
+region's pieces are pasted into a canvas on its own bounding box, so its
+pixels are reduced in the same row-major order either way.
 
 Work that is the same for every pair is done once: the boxes, the region
 crops and their places are fixed before the first pair, and each frame is
@@ -26,8 +26,8 @@ pairs are solved on a thread pool with one worker per available CPU; numpy
 and scipy release the interpreter lock in decoding and the flow solve.
 A run decodes its frames itself and carries each frame's stage to the next
 pair, and reference mode stages frame 0 once, so frames are never all held
-at once. Each pair's row is stored by its index, so the series is identical
-whatever the worker count.
+at once. solve_pair writes each pair's row in place by its index, so the
+series is identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -205,54 +205,45 @@ def intensity_series(
     for mask in masks:
         union |= mask
     boxes = _flow_boxes(union, params)
-    # Each region is reduced on its own bounding box: a view of the one box
-    # that owns all its pixels, or else a canvas its pieces are pasted into.
-    views: list[list] = [[] for _ in boxes]  # per box: (region, its place in the box, mask)
-    pastes: list[list] = [[] for _ in boxes]  # per box: (region, piece's place on canvas, in box)
-    canvases: dict[int, np.ndarray] = {}  # region: its mask on its own bounding box
+    # The plan, per box: (region, its piece's place in the box, the piece's
+    # place on the region's canvas, or None when the box owns the whole region).
+    plan: list[list] = [[] for _ in boxes]
+    region_masks = []  # each region's mask on its own bounding box
+    split = []  # the regions whose pixels lie in several boxes
     for j, mask in enumerate(masks):
         pieces = [(k, bounding_box(mask & owned)) for k, (_, owned) in enumerate(boxes)
                   if (mask & owned).any()]
-        if len(pieces) == 1:
-            (k, inner), = pieces
-            views[k].append((j, _shift(inner, boxes[k][0]), mask[inner].copy()))
-        else:
-            outer = bounding_box(mask)
-            canvases[j] = mask[outer].copy()
-            for k, inner in pieces:
-                pastes[k].append((j, _shift(inner, outer), _shift(inner, boxes[k][0])))
+        outer = bounding_box(mask)
+        region_masks.append(mask[outer].copy())
+        whole = len(pieces) == 1
+        split += [] if whole else [j]
+        for k, inner in pieces:
+            plan[k].append((j, _shift(inner, boxes[k][0]), None if whole else _shift(inner, outer)))
     flow_boxes = [box for box, _ in boxes]
     del masks, mask, union, boxes  # the plan keeps box-sized mask copies only
 
-    # Each box's flow is a single-level solve with sigma 0 on the first
-    # frame's smoothed crop and the second's aligned input, finished with the
-    # prior that aligned it.
+    # Each box is a single-level, sigma-0 solve on the first frame's smoothed
+    # crop and the second's aligned input, finished with the prior that aligned it.
     solve_params = replace(params, smooth_sigma=0.0, pyramid_levels=1)
     # In reference mode a later frame is only ever a pair's second frame (see stage_frame).
     later_boxes = [] if mode == "reference" and params.pyramid_levels > 1 else flow_boxes
 
-    def box_flows(first: FrameStage, second: FrameStage):
-        """The pair's flow on each box, in box order, each solved when asked for."""
-        for crop, (moved, prior) in zip(first.crops, align_pair(first, second, flow_boxes, params)):
-            yield finish_flow(pyramidal_lk(crop, moved, solve_params), prior)
-
-    def pair_row(first, second) -> list[tuple[float, int]]:
-        row = [None] * len(names)
-        pasted = {j: FlowField(u=np.zeros(mask.shape), v=np.zeros(mask.shape),
-                               valid=np.zeros(mask.shape, dtype=bool))
-                  for j, mask in canvases.items()}
-        for k, flow in enumerate(box_flows(first, second)):
-            for j, inner, mask in views[k]:
-                row[j] = region_mean_magnitude(
-                    FlowField(u=flow.u[inner], v=flow.v[inner], valid=flow.valid[inner]), mask
-                )
-            for j, to, source in pastes[k]:
-                canvas = pasted[j]
-                canvas.u[to], canvas.v[to] = flow.u[source], flow.v[source]
-                canvas.valid[to] = flow.valid[source]
-        for j, canvas in pasted.items():
-            row[j] = region_mean_magnitude(canvas, canvases[j])
-        return row
+    def solve_pair(t: int, first: FrameStage, second: FrameStage) -> None:
+        """Row t - 1: a one-box region reduced when its box is solved, a split one after the last box."""
+        canvases = {j: FlowField(u=np.zeros(region_masks[j].shape), v=np.zeros(region_masks[j].shape),
+                                 valid=np.zeros(region_masks[j].shape, dtype=bool)) for j in split}
+        for pieces, crop, (moved, prior) in zip(plan, first.crops,
+                                                align_pair(first, second, flow_boxes, params)):
+            flow = finish_flow(pyramidal_lk(crop, moved, solve_params), prior)
+            for j, inner, place in pieces:
+                view = FlowField(u=flow.u[inner], v=flow.v[inner], valid=flow.valid[inner])
+                if place is None:
+                    values[t - 1, j], counts[t - 1, j] = region_mean_magnitude(view, region_masks[j])
+                else:
+                    canvas = canvases[j]
+                    canvas.u[place], canvas.v[place], canvas.valid[place] = view.u, view.v, view.valid
+        for j, canvas in canvases.items():
+            values[t - 1, j], counts[t - 1, j] = region_mean_magnitude(canvas, region_masks[j])
 
     n = len(seq)
     pairs = n - 1
@@ -267,8 +258,7 @@ def intensity_series(
         first = reference if reference is not None else stage_frame(seq[start - 1], flow_boxes, params)
         for t in range(start, stop):
             second = stage_frame(seq[t], later_boxes, params)
-            for j, (value, count) in enumerate(pair_row(first, second)):
-                values[t - 1, j], counts[t - 1, j] = value, count
+            solve_pair(t, first, second)
             if reference is None:
                 first = second
 

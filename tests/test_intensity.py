@@ -499,6 +499,7 @@ class TestStreamedFrames:
         assert abs(peak(32) - peak(8)) < frame
 
 CELLS24 = "".join(f"region c{r}{c} = r{r}c{c}\n" for r in range(6) for c in range(4))
+SPLIT = "region b = r2c1, r3c2\nregion a = r0c0, r5c3, r2c2\n"
 
 
 def full_frame_series(seq, grid, rmap, params, mode):
@@ -702,13 +703,16 @@ def whole_box_series(seq, grid, rmap, params, mode):
 
 
 class TestRunWideWork:
-    @pytest.mark.parametrize("layout", ["default", "cells24"])
+    # split: region a has one piece in each of three boxes, on different rows
+    # and columns, so its reduction must keep the frame's row-major order.
+    @pytest.mark.parametrize("layout", ["default", "cells24", "split"])
     @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
     @pytest.mark.parametrize("levels", [1, 2])
     @pytest.mark.parametrize("mode", ["reference", "consecutive"])
     def test_matches_whole_box_solve_exactly(self, mode, levels, sigma, layout):
         grid = make_grid(96, 72)
-        rmap = default_region_map() if layout == "default" else parse_region_map(CELLS24)
+        rmap = {"default": default_region_map(), "cells24": parse_region_map(CELLS24),
+                "split": parse_region_map(SPLIT)}[layout]
         motions = (RegionMotion(rmap.names()[-1], amplitude=1.5, onset=1, apex=2, offset=3),)
         seq, _ = synth_expression(96, 72, grid, rmap, motions, 4, seed=3)
         params = FlowParams(window_radius=3, smooth_sigma=sigma, pyramid_levels=levels)
