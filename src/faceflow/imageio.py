@@ -19,8 +19,6 @@ from .errors import ConfigError, DataError, FaceflowError
 __all__ = [
     "Image",
     "FrameSequence",
-    "decode_pgm",
-    "decode_ppm",
     "encode_pgm",
     "load_sequence",
 ]
@@ -138,8 +136,9 @@ def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]
     return width, height, maxval, i + 1
 
 
-def _decode_samples(data: bytes, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
-    """Raw samples, shape (height, width, channels), and the header's maxval."""
+def _decode_samples(data: bytes) -> tuple[np.ndarray, int]:
+    """Raw samples, shape (height, width, channels), and maxval; P6 is colour, all else P5."""
+    magic, channels = (b"P6", 3) if data[:2] == b"P6" else (b"P5", 1)
     width, height, maxval, offset = _parse_netpbm_header(data, magic)
     need = channels * width * height
     if len(data) - offset < need:
@@ -167,18 +166,8 @@ def _gray(raw: np.ndarray, maxval: int) -> Image:
     return Image(luma / (1000 * maxval))
 
 
-def decode_pgm(data: bytes) -> Image:
-    """Decode a binary PGM (P5) buffer into a normalized grayscale image."""
-    return _gray(*_decode_samples(data, b"P5", 1))
-
-
-def decode_ppm(data: bytes) -> Image:
-    """Decode a binary PPM (P6) buffer into a normalized grayscale image (BT.601 luma)."""
-    return _gray(*_decode_samples(data, b"P6", 3))
-
-
 def encode_pgm(image: Image) -> bytes:
-    """Encode an image as 8-bit binary PGM; the inverse of decode_pgm at maxval 255."""
+    """Encode an image as 8-bit binary PGM; load_sequence reads back each value's nearest k/255."""
     samples = np.clip(np.rint(image.pixels * 255), 0, 255).astype(np.uint8)
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
     return header + samples.tobytes()
@@ -243,8 +232,7 @@ def _read_frame(path: Path, width: int, height: int) -> Image:
 
 def _read_samples(path: Path) -> tuple[np.ndarray, int]:
     """A PGM or PPM file's checked raw samples and maxval; a format error names the file."""
-    data = path.read_bytes()
     try:
-        return _decode_samples(data, *((b"P6", 3) if data[:2] == b"P6" else (b"P5", 1)))
+        return _decode_samples(path.read_bytes())
     except FaceflowError as exc:
         raise type(exc)(f"{path.name}: {exc}") from exc

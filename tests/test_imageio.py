@@ -14,8 +14,6 @@ from faceflow import (
     FrameSequence,
     Image,
     RegionMotion,
-    decode_pgm,
-    decode_ppm,
     default_region_map,
     encode_pgm,
     load_sequence,
@@ -32,82 +30,90 @@ def ppm_bytes(width, height, maxval, payload):
     return f"P6\n{width} {height}\n{maxval}\n".encode() + bytes(payload)
 
 
+@pytest.fixture
+def decode(tmp_path):
+    """Netpbm bytes decoded as faceflow reads a frame: frame 0 of a one-file sequence."""
+    def decode(data):
+        (tmp_path / "frame.pnm").write_bytes(data)
+        return load_sequence(tmp_path, "frame.pnm")[0]
+    return decode
+
+
 class TestDecodePgm:
-    def test_two_by_two(self):
-        img = decode_pgm(pgm_bytes(2, 2, 255, [0, 255, 128, 64]))
+    def test_two_by_two(self, decode):
+        img = decode(pgm_bytes(2, 2, 255, [0, 255, 128, 64]))
         expected = np.array([[0.0, 1.0], [128 / 255, 64 / 255]])
         assert np.array_equal(img.pixels, expected)
         assert img.width == 2 and img.height == 2
 
-    def test_values_scaled_by_maxval(self):
-        img = decode_pgm(pgm_bytes(2, 1, 100, [0, 50]))
+    def test_values_scaled_by_maxval(self, decode):
+        img = decode(pgm_bytes(2, 1, 100, [0, 50]))
         assert np.array_equal(img.pixels, np.array([[0.0, 0.5]]))
 
-    def test_comments_in_header(self):
+    def test_comments_in_header(self, decode):
         data = b"P5 # magic\n# a comment line\n2 1 # dims\n255\n\x00\xff"
-        img = decode_pgm(data)
+        img = decode(data)
         assert np.array_equal(img.pixels, np.array([[0.0, 1.0]]))
 
-    def test_any_whitespace_between_tokens(self):
+    def test_any_whitespace_between_tokens(self, decode):
         data = b"P5\t\n 2\r1\n255 \x00\xff"
-        img = decode_pgm(data)
+        img = decode(data)
         assert img.pixels.shape == (1, 2)
 
-    def test_single_whitespace_after_maxval(self):
+    def test_single_whitespace_after_maxval(self, decode):
         # The byte right after the maxval terminator is pixel data even if
         # it looks like whitespace.
         data = b"P5\n1 2\n255\n\x0a\x20"
-        img = decode_pgm(data)
+        img = decode(data)
         assert np.array_equal(img.pixels, np.array([[0x0A / 255], [0x20 / 255]]))
 
-    def test_trailing_bytes_ignored(self):
-        img = decode_pgm(pgm_bytes(1, 1, 255, [7]) + b"extra")
+    def test_trailing_bytes_ignored(self, decode):
+        img = decode(pgm_bytes(1, 1, 255, [7]) + b"extra")
         assert img.pixels.shape == (1, 1)
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, decode):
         with pytest.raises(DataError, match="expected magic P5"):
-            decode_pgm(b"P2\n1 1\n255\n\x00")
+            decode(b"P2\n1 1\n255\n\x00")
 
-    def test_truncated_header(self):
+    def test_truncated_header(self, decode):
         with pytest.raises(DataError, match="header ended before"):
-            decode_pgm(b"P5\n2 2\n")
+            decode(b"P5\n2 2\n")
 
-    def test_nonnumeric_dimension(self):
+    def test_nonnumeric_dimension(self, decode):
         with pytest.raises(DataError, match="non-numeric header token"):
-            decode_pgm(b"P5\nx 2\n255\n\x00")
+            decode(b"P5\nx 2\n255\n\x00")
 
-    def test_zero_dimension(self):
+    def test_zero_dimension(self, decode):
         with pytest.raises(DataError, match="invalid dimensions 0x2"):
-            decode_pgm(b"P5\n0 2\n255\n")
+            decode(b"P5\n0 2\n255\n")
 
-    def test_maxval_zero(self):
+    def test_maxval_zero(self, decode):
         with pytest.raises(DataError, match="invalid maxval 0"):
-            decode_pgm(b"P5\n1 1\n0\n\x00")
+            decode(b"P5\n1 1\n0\n\x00")
 
-    def test_maxval_above_255(self):
+    def test_maxval_above_255(self, decode):
         with pytest.raises(DataError, match="maxval 65535 exceeds 255"):
-            decode_pgm(b"P5\n1 1\n65535\n\x00\x00")
+            decode(b"P5\n1 1\n65535\n\x00\x00")
 
-    def test_short_payload(self):
+    def test_short_payload(self, decode):
         with pytest.raises(DataError, match="expected 4 sample bytes, got 3"):
-            decode_pgm(pgm_bytes(2, 2, 255, [0, 1, 2]))
+            decode(pgm_bytes(2, 2, 255, [0, 1, 2]))
 
     @pytest.mark.parametrize("data", [b"P5 1 1 255", b"P5 1 1 255#c\n\x00"],
                              ids=["end-of-data", "comment"])
-    def test_missing_whitespace_after_maxval(self, data):
+    def test_missing_whitespace_after_maxval(self, decode, data):
         with pytest.raises(DataError, match="missing whitespace byte after maxval"):
-            decode_pgm(data)
+            decode(data)
 
-    def test_empty_input(self):
+    def test_empty_input(self, decode):
         with pytest.raises(DataError, match="header ended before"):
-            decode_pgm(b"")
+            decode(b"")
 
-    def test_sample_above_maxval(self):
+    def test_sample_above_maxval(self, decode):
         with pytest.raises(DataError, match="255 exceeds maxval 100"):
-            decode_pgm(pgm_bytes(2, 2, 100, [255, 0, 50, 100]))
+            decode(pgm_bytes(2, 2, 100, [255, 0, 50, 100]))
 
-    @pytest.mark.parametrize("decode, magic", [(decode_pgm, "P5"), (decode_ppm, "P6")],
-                             ids=["P5", "P6"])
+    @pytest.mark.parametrize("magic", ["P5", "P6"])
     def test_header_number_over_int_digit_limit(self, decode, magic):
         # 5000 digits is past the 4300-digit limit of int() on Python >= 3.11.
         with pytest.raises(DataError, match="header number too long"):
@@ -115,39 +121,35 @@ class TestDecodePgm:
 
 
 class TestDecodePpm:
-    def test_returns_grey_image(self):
-        img = decode_ppm(ppm_bytes(2, 1, 255, [10, 20, 30, 40, 50, 60]))
+    def test_returns_grey_image(self, decode):
+        img = decode(ppm_bytes(2, 1, 255, [10, 20, 30, 40, 50, 60]))
         assert isinstance(img, Image)
         assert img.pixels.shape == (1, 2) and img.width == 2 and img.height == 1
 
     @pytest.mark.parametrize("maxval", [1, 15, 100])
-    def test_grey_level_over_maxval(self, maxval):
+    def test_grey_level_over_maxval(self, decode, maxval):
         ks = list(range(maxval + 1))
-        img = decode_ppm(ppm_bytes(len(ks), 1, maxval, [k for k in ks for _ in range(3)]))
+        img = decode(ppm_bytes(len(ks), 1, maxval, [k for k in ks for _ in range(3)]))
         assert np.array_equal(img.pixels, np.array([ks], dtype=np.float64) / maxval)
         assert img.pixels[0, -1] == 1.0
 
-    def test_wrong_magic(self):
-        with pytest.raises(DataError, match="expected magic P6"):
-            decode_ppm(pgm_bytes(1, 1, 255, [0]))
-
-    def test_short_payload(self):
+    def test_short_payload(self, decode):
         with pytest.raises(DataError, match="expected 12 sample bytes, got 11"):
-            decode_ppm(ppm_bytes(2, 2, 255, [0] * 11))
+            decode(ppm_bytes(2, 2, 255, [0] * 11))
 
-    def test_maxval_above_255(self):
+    def test_maxval_above_255(self, decode):
         with pytest.raises(DataError, match="maxval 300 exceeds 255"):
-            decode_ppm(b"P6\n1 1\n300\n" + b"\x00" * 6)
+            decode(b"P6\n1 1\n300\n" + b"\x00" * 6)
 
-    def test_sample_above_maxval(self):
+    def test_sample_above_maxval(self, decode):
         with pytest.raises(DataError, match="16 exceeds maxval 15"):
-            decode_ppm(ppm_bytes(1, 2, 15, [15, 15, 15, 0, 16, 0]))
+            decode(ppm_bytes(1, 2, 15, [15, 15, 15, 0, 16, 0]))
 
 
 class TestEncodePgm:
-    def test_round_trip(self):
-        original = decode_pgm(pgm_bytes(3, 2, 255, range(6)))
-        again = decode_pgm(encode_pgm(original))
+    def test_round_trip(self, decode):
+        original = decode(pgm_bytes(3, 2, 255, range(6)))
+        again = decode(encode_pgm(original))
         assert np.array_equal(again.pixels, original.pixels)
 
     def test_payload_bytes(self):
@@ -162,31 +164,33 @@ class TestEncodePgm:
 
 
 class TestRgbToGray:
-    """decode_ppm's BT.601 luma, computed in integers and divided once."""
+    """A P6 frame's BT.601 luma, computed in integers and divided once."""
 
-    @staticmethod
-    def gray(rgb):
-        rgb = np.asarray(rgb, dtype=np.uint8)
-        height, width, _ = rgb.shape
-        return decode_ppm(ppm_bytes(width, height, 255, rgb.tobytes())).pixels
+    @pytest.fixture
+    def ppm_gray(self, decode):
+        def gray(rgb):
+            rgb = np.asarray(rgb, dtype=np.uint8)
+            height, width, _ = rgb.shape
+            return decode(ppm_bytes(width, height, 255, rgb.tobytes())).pixels
+        return gray
 
-    def test_pure_red(self):
-        assert self.gray([[[255, 0, 0]]])[0, 0] == 0.299
+    def test_pure_red(self, ppm_gray):
+        assert ppm_gray([[[255, 0, 0]]])[0, 0] == 0.299
 
-    def test_pure_green(self):
-        assert self.gray([[[0, 255, 0]]])[0, 0] == 0.587
+    def test_pure_green(self, ppm_gray):
+        assert ppm_gray([[[0, 255, 0]]])[0, 0] == 0.587
 
-    def test_pure_blue(self):
-        assert self.gray([[[0, 0, 255]]])[0, 0] == 0.114
+    def test_pure_blue(self, ppm_gray):
+        assert ppm_gray([[[0, 0, 255]]])[0, 0] == 0.114
 
-    def test_gray_pixels_map_to_exact_fraction(self):
+    def test_gray_pixels_map_to_exact_fraction(self, ppm_gray):
         ks = np.arange(256, dtype=np.uint8)
-        gray = self.gray(np.stack([ks, ks, ks], axis=-1).reshape(16, 16, 3))
+        gray = ppm_gray(np.stack([ks, ks, ks], axis=-1).reshape(16, 16, 3))
         assert np.array_equal(gray, ks.astype(np.float64).reshape(16, 16) / 255)
 
-    def test_output_in_unit_range(self):
+    def test_output_in_unit_range(self, ppm_gray):
         rng = np.random.default_rng(0)
-        gray = self.gray(rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8))
+        gray = ppm_gray(rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8))
         assert gray.min() >= 0.0 and gray.max() <= 1.0
 
 

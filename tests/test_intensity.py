@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 import threading
@@ -23,7 +24,6 @@ from faceflow import (
     Image,
     IntensitySeries,
     default_region_map,
-    decode_pgm,
     default_region_text,
     displacement_magnitude,
     encode_pgm,
@@ -394,6 +394,12 @@ class TestConcurrentPairs:
         assert np.array_equal(serial.counts, parallel.counts)
         assert serial.values.any()
 
+    @pytest.mark.parametrize("count, expected", [(None, 1), (3, 3)])
+    def test_cpu_count_where_the_os_gives_no_affinity_mask(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert faceflow.intensity._available_cpus() == expected
+
     def test_empty_region_map_rejected(self):
         # An empty map would have every pair solved on the whole frame, for no region.
         with pytest.raises(ConfigError, match="^region map defines no regions$"):
@@ -617,6 +623,22 @@ class TestFlowBox:
         assert np.array_equal(series.counts, counts)
         assert counts.min() > 0
         np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=0)
+
+    # Twelve one-cell regions that touch only at their corners: twelve groups.
+    CHECKERBOARD = "".join(f"region cell{r}{c} = r{r}c{c}\n"
+                           for r in range(6) for c in range(4) if (r + c) % 2 == 0)
+
+    @pytest.mark.parametrize("size", [(96, 72), (128, 96), (160, 120), (320, 240), (640, 480)],
+                             ids=lambda size: "%dx%d" % size)
+    @pytest.mark.parametrize("layout", ["default", "checkerboard"])
+    def test_boxes_never_cost_more_than_one_box(self, layout, size):
+        # Small frames' group boxes overlap in their halos; there the one box
+        # around all regions is solved instead, so it caps the solved pixels.
+        grid = make_grid(*size)
+        rmap = parse_region_map(default_region_text() if layout == "default" else self.CHECKERBOARD)
+        union = np.logical_or.reduce([region_mask(grid, rmap, name) for name in rmap.names()])
+        boxes = faceflow.intensity._flow_boxes(union, FlowParams())
+        assert sum(box_area(box) for box, _ in boxes) <= box_area(flow_support(union, FlowParams()))
 
     def test_oversized_window_names_the_frame(self):
         seq, _ = translate_sequence(make_texture(96, 72, seed=0), 0.3, 0.0, 3)
@@ -882,12 +904,13 @@ class TestTracerContract:
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 12: a brightness change on still "
                    "frames reads as motion (1.4e-3 to 1.9e-3 here)")
-def test_brightness_ramp_on_still_frames_reads_as_no_motion():
+def test_brightness_ramp_on_still_frames_reads_as_no_motion(tmp_path):
     # A still texture whose frames 1-4 brighten by a gain that ramps to 1.01,
     # each frame re-quantized to 8 bits. Every region should stay below the
     # paper's smallest reported magnitude, 0.4e-4 of the diagonal.
     base = make_texture(160, 120, seed=5)
-    frames = tuple(decode_pgm(encode_pgm(Image(base.pixels * (1 + 0.01 * t / 4))))
-                   for t in range(5))
-    series = intensity_series(FrameSequence(frames), make_grid(160, 120), default_region_map())
+    for t in range(5):
+        frame = Image(base.pixels * (1 + 0.01 * t / 4))
+        (tmp_path / f"frame_{t}.pgm").write_bytes(encode_pgm(frame))
+    series = intensity_series(load_sequence(tmp_path), make_grid(160, 120), default_region_map())
     assert (series.values[-1] < 0.4e-4).all(), series.values[-1]
