@@ -187,32 +187,27 @@ def _read_config(path: str) -> dict[str, str]:
 
 def _merge_options(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
     """Convert each option's winning text: a flag beats a config line, which beats the default."""
-    by_flag = {opt.flag: opt for opt in opts}
-    given: dict[str, tuple[str, list[str]]] = {}  # flag -> (source, texts)
-    for key, text in (_read_config(args.config) if args.config else {}).items():
-        opt = by_flag.get(key)
-        if opt is None:
+    config = _read_config(args.config) if args.config else {}
+    for key in config:
+        if key not in {opt.flag for opt in opts}:
             raise ConfigError(f"unknown config key {key!r}")
-        texts = [part.strip() for part in text.split(";")] if opt.repeat else [text]
-        given[opt.flag] = (f"config key {key!r}", texts)
-    for opt in opts:
-        flag_text = getattr(args, opt.flag.replace("-", "_"))
-        if flag_text is not None:
-            given[opt.flag] = (f"--{opt.flag}", flag_text if opt.repeat else [flag_text])
     values = {}
     for opt in opts:
-        if opt.flag not in given:
+        source, text = f"--{opt.flag}", getattr(args, opt.flag.replace("-", "_"))
+        if text is None and opt.flag in config:
+            source, text = f"config key {opt.flag!r}", config[opt.flag]
+            text = [part.strip() for part in text.split(";")] if opt.repeat else text
+        if text is None:
             if opt.required:
                 raise ConfigError(f"missing required option --{opt.flag}")
             values[opt.dest] = opt.default
             continue
-        source, texts = given[opt.flag]
         converted = []
-        for text in texts:
+        for part in text if opt.repeat else [text]:
             try:
-                converted.append(opt.convert(text))
+                converted.append(opt.convert(part))
             except (ValueError, ConfigError) as exc:  # a malformed value, or a check it runs
-                raise ConfigError(f"{source} {text!r}: {exc}") from exc
+                raise ConfigError(f"{source} {part!r}: {exc}") from exc
         values[opt.dest] = converted if opt.repeat else converted[0]
     return values
 

@@ -398,17 +398,16 @@ def align_pair(first: FrameStage, second: FrameStage, boxes: list[tuple[slice, s
     At one level the input is second's staged crop and the prior is None.
     Under a pyramid the coarser levels, levels[1:], are solved once, on the
     whole frames, when the first box is asked for: each level solves for the
-    residual motion left after warping by the flow of the level below. A
-    box's prior (u, v) is their flow upsampled to it, and its input is
-    second.levels[0] sampled at x + prior, then smoothed.
+    residual motion left after warping by the flow of the level below, and
+    the coarsest by a zero flow: an exact copy, whose zero prior only turns a
+    -0.0 into +0.0. A box's prior (u, v) is their flow upsampled to it, and
+    its input is second.levels[0] sampled at x + prior, then smoothed.
     """
     if not second.levels:
         yield from ((crop, None) for crop in second.crops)
         return
-    levels = reversed(list(zip(first.levels[1:], second.levels[1:])))
-    a1, a2 = next(levels)  # the coarsest level has no prior
-    u, v, _ = _solve_lk(_smooth_array(a1, p.smooth_sigma), _smooth_array(a2, p.smooth_sigma), p)
-    for a1, a2 in levels:
+    u = v = np.zeros((1, 1))
+    for a1, a2 in reversed(list(zip(first.levels[1:], second.levels[1:]))):
         a2, (pu, pv) = _aligned(a2, u, v, (slice(None), slice(None)))
         u, v, _ = _solve_lk(_smooth_array(a1, p.smooth_sigma), _smooth_array(a2, p.smooth_sigma), p)
         u += pu

@@ -730,6 +730,15 @@ class TestConfigFile:
         assert main(["series", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
         assert "speed" in capsys.readouterr().err
 
+    def test_unknown_key_reported_before_a_bad_value(self, tmp_path):
+        # Every key is checked before any value is converted.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("count = x\nspeed = 11\n")
+        out = tmp_path / "frames"
+        assert _run_main(["synth", "--config", str(cfg), "--out", str(out)]) == (
+            EXIT_CONFIG_ERROR, "error: unknown config key 'speed'\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_malformed_line_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("count 7\n")

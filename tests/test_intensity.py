@@ -37,6 +37,7 @@ from faceflow import (
     synth_expression,
     translate_sequence,
     RegionMotion,
+    build_report,
 )
 from faceflow.flow import FlowField, flow_support, pyramidal_lk, sample_bilinear
 from faceflow.regions import RegionMap
@@ -914,3 +915,18 @@ def test_brightness_ramp_on_still_frames_reads_as_no_motion(tmp_path):
         (tmp_path / f"frame_{t}.pgm").write_bytes(encode_pgm(frame))
     series = intensity_series(load_sequence(tmp_path), make_grid(160, 120), default_region_map())
     assert (series.values[-1] < 0.4e-4).all(), series.values[-1]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: sensor noise on still "
+                   "frames reads as motion (2.3e-4 to 2.9e-4 here), and a region is named dominant")
+def test_sensor_noise_on_still_frames_names_no_dominant_region(tmp_path):
+    # A still texture plus Gaussian noise of one grey level per frame, each
+    # frame quantized to 8 bits. No region moves, so none should be dominant.
+    base = make_texture(160, 120, seed=5)
+    rng = np.random.default_rng(1)
+    for t in range(12):
+        frame = Image(base.pixels + rng.normal(0.0, 1 / 255, base.pixels.shape))
+        (tmp_path / f"frame_{t}.pgm").write_bytes(encode_pgm(frame))
+    series = intensity_series(load_sequence(tmp_path), make_grid(160, 120), default_region_map())
+    report = build_report(series)
+    assert report.dominant_region is None, series.values.max(axis=0)
