@@ -183,9 +183,10 @@ def _solve_lk(a1: np.ndarray, a2: np.ndarray, p: FlowParams) -> tuple[np.ndarray
     """Single-level Lucas-Kanade on arrays smoothed with p.smooth_sigma; returns (u, v, valid).
 
     The five tensor products share one (5, h, w) buffer that is box-summed and
-    solved in place; u and v are the two scratch planes beyond it.
+    solved in place; u and v are the two scratch planes beyond it. Every
+    plane has the inputs' precision: float32 when both are float32.
     """
-    buf = np.empty((5, *a1.shape), dtype=np.float64)
+    buf = np.empty((5, *a1.shape), dtype=np.result_type(a1, a2))
     _gradients_into(a1, a2, buf)
     ix, iy, it = buf[0], buf[1], buf[2]
     np.multiply(ix, it, out=buf[3])

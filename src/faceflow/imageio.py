@@ -1,7 +1,9 @@
 """Binary PGM/PPM codecs, grayscale conversion, and frame-sequence loading.
 
-All decoded intensities are normalized to float64 values in [0, 1] so that
+All decoded intensities are normalized to values in [0, 1] so that
 downstream gradient and eigenvalue thresholds are independent of bit depth.
+Frame files decode to float32, a precision the flow solve keeps; an Image
+made from an array of any other dtype holds float64.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 @dataclass(frozen=True, eq=False)
 class Image:
-    """Single-channel raster: float64 values in [0, 1], shape (height, width)."""
+    """Single-channel raster: values in [0, 1], shape (height, width); float32 kept, else float64."""
 
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        pixels = np.asarray(self.pixels, dtype=np.float64)
+        pixels = np.asarray(self.pixels)
+        pixels = pixels.astype(np.float32 if pixels.dtype == np.float32 else np.float64, copy=False)
         if pixels.ndim != 2 or pixels.size == 0:
             raise ConfigError("Image.pixels must be a non-empty 2-D array")
         object.__setattr__(self, "pixels", pixels)
@@ -155,15 +158,17 @@ def _gray(raw: np.ndarray, maxval: int) -> Image:
     """Normalized grayscale from raw samples: one channel as is, three as BT.601 luma.
 
     The luma 299 R + 587 G + 114 B is summed in exact integers and divided
-    once by 1000 * maxval, so r=g=b=k maps to exactly k/maxval, as in P5.
+    once by 1000 * maxval. Both are exact in float32, so r=g=b=k maps to
+    the float32 nearest k/maxval, as in P5.
     """
     if raw.shape[2] == 1:
-        gray = raw[:, :, 0].astype(np.float64)
-        gray /= maxval  # in place: one frame-sized float array per decode
-        return Image(gray)
-    rgb = raw.astype(np.int64)
-    luma = 299 * rgb[:, :, 0] + 587 * rgb[:, :, 1] + 114 * rgb[:, :, 2]
-    return Image(luma / (1000 * maxval))
+        luma, scale = raw[:, :, 0], maxval
+    else:
+        rgb = raw.astype(np.int64)
+        luma, scale = 299 * rgb[:, :, 0] + 587 * rgb[:, :, 1] + 114 * rgb[:, :, 2], 1000 * maxval
+    gray = luma.astype(np.float32)
+    gray /= scale  # in place: one frame-sized float array per decode
+    return Image(gray)
 
 
 def encode_pgm(image: Image) -> bytes:

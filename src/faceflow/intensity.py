@@ -173,8 +173,10 @@ def region_mean_magnitude(flow: FlowField, mask: np.ndarray) -> tuple[float, int
         magnitudes = np.hypot(flow.u, flow.v).ravel()
     else:
         magnitudes = np.hypot(flow.u[selected], flow.v[selected])
+    # The magnitudes keep the flow's precision and are summed in float64
+    # (add.reduce with dtype= would sum in buffered chunks, in another order).
     # The sum divided by the count is what ndarray.mean computes.
-    return float(np.add.reduce(magnitudes) / count), count
+    return float(np.add.reduce(magnitudes.astype(np.float64, copy=False)) / count), count
 
 
 def intensity_series(
@@ -209,14 +211,12 @@ def intensity_series(
     # place on the region's canvas, or None when the box owns the whole region).
     plan: list[list] = [[] for _ in boxes]
     region_masks = []  # each region's mask on its own bounding box
-    split = []  # the regions whose pixels lie in several boxes
     for j, mask in enumerate(masks):
         pieces = [(k, bounding_box(mask & owned)) for k, (_, owned) in enumerate(boxes)
                   if (mask & owned).any()]
         outer = bounding_box(mask)
         region_masks.append(mask[outer].copy())
         whole = len(pieces) == 1
-        split += [] if whole else [j]
         for k, inner in pieces:
             plan[k].append((j, _shift(inner, boxes[k][0]), None if whole else _shift(inner, outer)))
     flow_boxes = [box for box, _ in boxes]
@@ -230,8 +230,7 @@ def intensity_series(
 
     def solve_pair(t: int, first: FrameStage, second: FrameStage) -> None:
         """Row t - 1: a one-box region reduced when its box is solved, a split one after the last box."""
-        canvases = {j: FlowField(u=np.zeros(region_masks[j].shape), v=np.zeros(region_masks[j].shape),
-                                 valid=np.zeros(region_masks[j].shape, dtype=bool)) for j in split}
+        canvases = {}  # per split region, its pieces' flow, in the dtype of that flow
         for pieces, crop, (moved, prior) in zip(plan, first.crops,
                                                 align_pair(first, second, flow_boxes, params)):
             flow = finish_flow(pyramidal_lk(crop, moved, solve_params), prior)
@@ -240,6 +239,9 @@ def intensity_series(
                 if place is None:
                     values[t - 1, j], counts[t - 1, j] = region_mean_magnitude(view, region_masks[j])
                 else:
+                    if j not in canvases:
+                        canvases[j] = FlowField(*(np.zeros(region_masks[j].shape, a.dtype)
+                                                  for a in (view.u, view.v, view.valid)))
                     canvas = canvases[j]
                     canvas.u[place], canvas.v[place], canvas.valid[place] = view.u, view.v, view.valid
         for j, canvas in canvases.items():

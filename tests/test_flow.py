@@ -14,7 +14,9 @@ from faceflow import (
     DataError,
     FlowParams,
     Image,
+    encode_pgm,
     gaussian_smooth,
+    load_sequence,
     lucas_kanade,
     make_texture,
     pyramidal_lk,
@@ -22,7 +24,7 @@ from faceflow import (
     spatiotemporal_gradients,
     translate_sequence,
 )
-from faceflow.flow import FlowField, _window_means, flow_support, stage_frame
+from faceflow.flow import FlowField, _window_means, align_pair, flow_support, stage_frame
 
 INTERIOR = 9  # margin past the default window radius, clear of border effects
 
@@ -376,6 +378,51 @@ class TestPyramidalLk:
         a = lucas_kanade(i1, i2, FlowParams())
         b = lucas_kanade(i1, i2, FlowParams(pyramid_levels=3))
         assert np.array_equal(a.u, b.u)
+
+
+class TestFloat32Solve:
+    """Decoded frames are float32, and every plane of the solve keeps that precision.
+
+    Checked against the float64 solve of the same 8-bit frames: a 320x240
+    texture at full contrast and at a tenth of it, shifted 0.7 px at one
+    level and 4 px at three. At a tenth the eigenvalue threshold keeps
+    about a fifth of the pixels, so the masks are compared where the
+    threshold decides. Measured on these frames: identical masks, and u and
+    v within 1.9e-5 px of the float64 solve.
+    """
+
+    @pytest.mark.parametrize("contrast, coverage", [(1.0, (1.0, 1.0)), (0.1, (0.15, 0.3))],
+                             ids=["contrast-1", "contrast-0.1"])
+    @pytest.mark.parametrize("shift, levels", [(0.7, 1), (4.0, 3)])
+    def test_matches_float64_solve(self, tmp_path, contrast, coverage, shift, levels):
+        texture = make_texture(320, 240, seed=5).pixels
+        seq, _ = translate_sequence(Image(0.5 + contrast * (texture - 0.5)), shift, 0.0, 2)
+        for t, frame in enumerate(seq):
+            (tmp_path / f"frame{t}.pgm").write_bytes(encode_pgm(frame))
+        single = list(load_sequence(tmp_path))
+        double = [Image(np.rint(frame.pixels * 255) / 255) for frame in seq]
+        p = FlowParams(pyramid_levels=levels)
+        flow, reference = pyramidal_lk(*single, p), pyramidal_lk(*double, p)
+        assert flow.u.dtype == flow.v.dtype == np.float32
+        assert reference.u.dtype == np.float64
+        assert np.array_equal(flow.valid, reference.valid)
+        assert coverage[0] <= flow.valid.mean() <= coverage[1]
+        assert np.abs(flow.u - reference.u).max() <= 1e-4
+        assert np.abs(flow.v - reference.v).max() <= 1e-4
+
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_stage_and_aligned_input_stay_float32(self, levels):
+        i1, i2 = (Image(frame.pixels.astype(np.float32))
+                  for frame in shifted_pair(160, 120, 1.5, 0.5, seed=2))
+        p = FlowParams(pyramid_levels=levels)
+        box = [(slice(9, 51), slice(19, 71))]
+        first, second = stage_frame(i1, box, p), stage_frame(i2, box, p)
+        assert len(first.levels) == (levels if levels > 1 else 0)
+        for a in first.levels + second.levels + [first.crops[0].pixels]:
+            assert a.dtype == np.float32
+        (moved, prior), = align_pair(first, second, box, p)
+        assert moved.pixels.dtype == np.float32
+        assert prior is None if levels == 1 else all(f.dtype == np.float32 for f in prior)
 
 
 class TestFlowSupport:

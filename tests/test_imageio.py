@@ -42,7 +42,7 @@ def decode(tmp_path):
 class TestDecodePgm:
     def test_two_by_two(self, decode):
         img = decode(pgm_bytes(2, 2, 255, [0, 255, 128, 64]))
-        expected = np.array([[0.0, 1.0], [128 / 255, 64 / 255]])
+        expected = np.array([[0.0, 1.0], [128 / 255, 64 / 255]], dtype=np.float32)
         assert np.array_equal(img.pixels, expected)
         assert img.width == 2 and img.height == 2
 
@@ -65,7 +65,7 @@ class TestDecodePgm:
         # it looks like whitespace.
         data = b"P5\n1 2\n255\n\x0a\x20"
         img = decode(data)
-        assert np.array_equal(img.pixels, np.array([[0x0A / 255], [0x20 / 255]]))
+        assert np.array_equal(img.pixels, np.array([[0x0A / 255], [0x20 / 255]], dtype=np.float32))
 
     def test_trailing_bytes_ignored(self, decode):
         img = decode(pgm_bytes(1, 1, 255, [7]) + b"extra")
@@ -130,7 +130,7 @@ class TestDecodePpm:
     def test_grey_level_over_maxval(self, decode, maxval):
         ks = list(range(maxval + 1))
         img = decode(ppm_bytes(len(ks), 1, maxval, [k for k in ks for _ in range(3)]))
-        assert np.array_equal(img.pixels, np.array([ks], dtype=np.float64) / maxval)
+        assert np.array_equal(img.pixels, (np.array([ks], dtype=np.float64) / maxval).astype(np.float32))
         assert img.pixels[0, -1] == 1.0
 
     def test_short_payload(self, decode):
@@ -175,18 +175,18 @@ class TestRgbToGray:
         return gray
 
     def test_pure_red(self, ppm_gray):
-        assert ppm_gray([[[255, 0, 0]]])[0, 0] == 0.299
+        assert ppm_gray([[[255, 0, 0]]])[0, 0] == np.float32(0.299)
 
     def test_pure_green(self, ppm_gray):
-        assert ppm_gray([[[0, 255, 0]]])[0, 0] == 0.587
+        assert ppm_gray([[[0, 255, 0]]])[0, 0] == np.float32(0.587)
 
     def test_pure_blue(self, ppm_gray):
-        assert ppm_gray([[[0, 0, 255]]])[0, 0] == 0.114
+        assert ppm_gray([[[0, 0, 255]]])[0, 0] == np.float32(0.114)
 
     def test_gray_pixels_map_to_exact_fraction(self, ppm_gray):
         ks = np.arange(256, dtype=np.uint8)
         gray = ppm_gray(np.stack([ks, ks, ks], axis=-1).reshape(16, 16, 3))
-        assert np.array_equal(gray, ks.astype(np.float64).reshape(16, 16) / 255)
+        assert np.array_equal(gray, (ks.astype(np.float64).reshape(16, 16) / 255).astype(np.float32))
 
     def test_output_in_unit_range(self, ppm_gray):
         rng = np.random.default_rng(0)
@@ -198,6 +198,21 @@ class TestImageTypes:
     def test_image_requires_2d(self):
         with pytest.raises(ConfigError, match="non-empty 2-D array"):
             Image(np.zeros((2, 2, 3)))
+
+    @pytest.mark.parametrize("data", [pgm_bytes(1, 1, 255, [7]), ppm_bytes(1, 1, 255, [7, 8, 9])],
+                             ids=["P5", "P6"])
+    def test_decoded_frame_is_float32(self, decode, data):
+        assert decode(data).pixels.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype, kept", [
+        (np.float64, np.float64), (np.float32, np.float32), (np.float16, np.float64),
+        (np.uint8, np.float64), (np.int64, np.float64),
+    ])
+    def test_image_keeps_float32_and_makes_the_rest_float64(self, dtype, kept):
+        pixels = np.zeros((2, 2), dtype=dtype)
+        image = Image(pixels)
+        assert image.pixels.dtype == kept
+        assert (image.pixels is pixels) == (dtype == kept)
 
     def test_sequence_rejects_no_frames(self):
         with pytest.raises(DataError, match="frame sequence has no frames"):
@@ -342,10 +357,10 @@ class TestLoadSequence:
         seq = load_sequence(tmp_path)
         assert (seq.width, seq.height, len(seq)) == (2, 1, 2)
         assert seq[1] is not seq[1]
-        assert np.array_equal(seq[1].pixels, [[0.4, 1.0]])
+        assert np.array_equal(seq[1].pixels, np.array([[0.4, 1.0]], dtype=np.float32))
         (tmp_path / "a_2.pgm").write_bytes(pgm_bytes(2, 1, 255, [255, 0]))
         assert np.array_equal(seq[1].pixels, [[1.0, 0.0]])
-        assert np.array_equal(seq[0].pixels, [[0.0, 0.2]])
+        assert np.array_equal(seq[0].pixels, np.array([[0.0, 0.2]], dtype=np.float32))
 
     @pytest.mark.parametrize("change, message", [
         ("truncate", "a_2.pgm: expected 2 sample bytes, got 1"),

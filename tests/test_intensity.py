@@ -733,11 +733,25 @@ class TestRunWideWork:
     @pytest.mark.parametrize("levels", [1, 2])
     @pytest.mark.parametrize("mode", ["reference", "consecutive"])
     def test_matches_whole_box_solve_exactly(self, mode, levels, sigma, layout):
+        self.check_whole_box_match(mode, levels, sigma, layout, np.float64)
+
+    # Decoded frames are float32, and the flow keeps their precision; the
+    # whole-box solve takes each region's mean in float64 all the same.
+    @pytest.mark.parametrize("layout", ["default", "cells24", "split"])
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("mode", ["reference", "consecutive"])
+    def test_float32_frames_match_whole_box_solve_exactly(self, mode, levels, sigma, layout):
+        self.check_whole_box_match(mode, levels, sigma, layout, np.float32)
+
+    @staticmethod
+    def check_whole_box_match(mode, levels, sigma, layout, dtype):
         grid = make_grid(96, 72)
         rmap = {"default": default_region_map(), "cells24": parse_region_map(CELLS24),
                 "split": parse_region_map(SPLIT)}[layout]
         motions = (RegionMotion(rmap.names()[-1], amplitude=1.5, onset=1, apex=2, offset=3),)
         seq, _ = synth_expression(96, 72, grid, rmap, motions, 4, seed=3)
+        seq = FrameSequence(tuple(Image(frame.pixels.astype(dtype)) for frame in seq))
         params = FlowParams(window_radius=3, smooth_sigma=sigma, pyramid_levels=levels)
         series = intensity_series(seq, grid, rmap, params, mode=mode)
         values, counts = whole_box_series(seq, grid, rmap, params, mode)
