@@ -8,9 +8,10 @@ by least squares over a square window, i.e. the 2x2 normal equations
 
 with window sums taken over the (2r+1)^2 neighborhood clipped to the image.
 The solve divides every sum by (2r+1)^2, which leaves (u, v) unchanged.
-Pixels whose structure tensor is near-singular (aperture problem, flat
-patches) are marked invalid. A coarse-to-fine pyramid extends the usable
-displacement range beyond the ~1 px linearization limit.
+A pixel is valid where the means' smaller eigenvalue is >= eigen_threshold:
+one bound at every pixel, frame edges included, that rejects near-singular
+windows (aperture problem, flat patches). A coarse-to-fine pyramid extends
+the usable displacement range beyond the ~1 px linearization limit.
 
 Flow on boxes of a frame takes three steps. stage_frame readies each frame
 once: its pyramid levels and the smoothed crops of the boxes a pair reads.
@@ -172,19 +173,13 @@ def _window_means(planes: np.ndarray, radius: int) -> np.ndarray:
     return planes
 
 
-def _window_coverage(n: int, radius: int) -> np.ndarray:
-    # Share of a (2r+1)-pixel window that lies inside an n-pixel axis.
-    idx = np.arange(n)
-    inside = np.minimum(idx + radius + 1, n) - np.maximum(idx - radius, 0)
-    return inside / (2 * radius + 1)
-
-
 def _solve_lk(a1: np.ndarray, a2: np.ndarray, p: FlowParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-level Lucas-Kanade on arrays smoothed with p.smooth_sigma; returns (u, v, valid).
 
     The five tensor products share one (5, h, w) buffer that is box-summed and
     solved in place; u and v are the two scratch planes beyond it. Every
-    plane has the inputs' precision: float32 when both are float32.
+    plane has the inputs' precision: float32 when both are float32. u and v
+    are +0.0 wherever valid is false.
     """
     buf = np.empty((5, *a1.shape), dtype=np.result_type(a1, a2))
     _gradients_into(a1, a2, buf)
@@ -205,13 +200,7 @@ def _solve_lk(a1: np.ndarray, a2: np.ndarray, p: FlowParams) -> tuple[np.ndarray
     np.sqrt(lam_min, out=lam_min)
     np.subtract(np.add(sxx, syy, out=scratch), lam_min, out=lam_min)
     lam_min *= 0.5
-    # The threshold applies per window pixel that lies inside the image.
-    h, w = a1.shape
-    np.multiply.outer(
-        _window_coverage(h, p.window_radius), _window_coverage(w, p.window_radius), out=scratch
-    )
-    scratch *= p.eigen_threshold
-    valid = lam_min >= scratch
+    valid = lam_min >= p.eigen_threshold
 
     v = np.multiply(sxy, sxt, out=lam_min)
     u = np.multiply(sxy, syt, out=scratch)
@@ -419,16 +408,14 @@ def align_pair(first: FrameStage, second: FrameStage, boxes: list[tuple[slice, s
 
 
 def finish_flow(flow: FlowField, prior: tuple[np.ndarray, np.ndarray] | None) -> FlowField:
-    """flow, solved on an input aligned by prior, plus prior, and zero wherever invalid.
+    """flow, solved on an input aligned by prior, plus prior where valid.
 
-    Works in place. Without the zeroing, coarser estimates would carry
-    through pixels the finest level rejects.
+    Works in place. Invalid pixels keep the solve's +0.0 (plus at most a
+    -0.0), so coarser estimates never carry through pixels it rejects.
     """
     if prior is not None:
-        invalid = ~flow.valid
         for solved, coarse in zip((flow.u, flow.v), prior):
-            solved += coarse
-            solved[invalid] = 0.0
+            solved += coarse * flow.valid
     return flow
 
 

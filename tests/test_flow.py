@@ -61,9 +61,13 @@ class TestGaussianSmooth:
         )
         assert np.allclose(out.pixels, expected, atol=1e-6)
 
-    def test_output_stays_in_unit_range(self):
-        img = Image(np.random.default_rng(1).random((16, 16)))
-        out = gaussian_smooth(img, 2.0)
+    @pytest.mark.parametrize("pixels, sigma", [
+        (np.random.default_rng(1).random((16, 16)), 2.0),
+        # Unclamped, the kernel's rounding reads 1 + 4.4e-16 here.
+        (np.ones((16, 16)), 0.1288),
+    ], ids=["random", "ones"])
+    def test_output_stays_in_unit_range(self, pixels, sigma):
+        out = gaussian_smooth(Image(pixels), sigma)
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
 
     def test_negative_sigma_rejected(self):
@@ -307,6 +311,32 @@ class TestLucasKanade:
         assert np.array_equal(field.u[~field.valid], np.zeros((~field.valid).sum()))
         assert np.array_equal(field.v[~field.valid], np.zeros((~field.valid).sum()))
 
+    @pytest.mark.parametrize("y, x", [(0, 0), (0, 20), (16, 20)], ids=["corner", "edge", "interior"])
+    def test_one_eigenvalue_bound_at_every_pixel(self, y, x):
+        # The gate is on the clipped window sum over (2r+1)^2 wherever the
+        # window lies: at a frame edge as in the interior.
+        seq, _ = translate_sequence(make_texture(40, 32, seed=4), 0.3, 0.2, 2)
+        g, r = spatiotemporal_gradients(*seq), 7
+        ys, xs = slice(max(y - r, 0), y + r + 1), slice(max(x - r, 0), x + r + 1)
+        ix, iy = g.ix[ys, xs], g.iy[ys, xs]
+        tensor = np.array([[np.sum(ix * ix), np.sum(ix * iy)], [np.sum(ix * iy), np.sum(iy * iy)]])
+        lam = np.linalg.eigvalsh(tensor / (2 * r + 1) ** 2)[0]
+        for factor, valid in ((0.999, True), (1.001, False)):
+            p = FlowParams(window_radius=r, smooth_sigma=0.0, eigen_threshold=lam * factor)
+            assert lucas_kanade(*seq, p).valid[y, x] == valid, factor
+
+    def test_singular_tensor_invalid_at_zero_threshold(self):
+        # Vertical stripes have iy = 0, so every tensor is singular: lam_min
+        # is 0, which passes a zero threshold, and det = 0 must reject it
+        # before the 0/0 division.
+        x = np.arange(32)
+        i1, i2 = (Image(np.tile(0.5 + 0.4 * np.sin(2 * np.pi * (x - dx) / 8), (24, 1))) for dx in (0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = lucas_kanade(i1, i2, FlowParams(eigen_threshold=0.0, smooth_sigma=0.0))
+        assert not field.valid.any()
+        assert np.isfinite(field.u).all() and np.isfinite(field.v).all()
+
 
 class TestPyramidalLk:
     def test_single_level_matches_plain(self):
@@ -372,6 +402,16 @@ class TestPyramidalLk:
         assert np.array_equal(direct.v, pre.v)
         assert np.array_equal(direct.valid, pre.valid)
         assert direct.valid.any()
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_invalid_pixels_have_zero_flow(self, levels):
+        # About half the pixels fail this threshold, and a coarser level's
+        # flow must not carry through them.
+        seq, _ = translate_sequence(make_texture(128, 96, seed=3), 1.5, 0.5, 2)
+        field = pyramidal_lk(*seq, FlowParams(eigen_threshold=3e-4, pyramid_levels=levels))
+        invalid = ~field.valid
+        assert 0.3 <= invalid.mean() <= 0.7
+        assert not field.u[invalid].any() and not field.v[invalid].any()
 
     def test_lucas_kanade_ignores_levels(self):
         i1, i2 = shifted_pair(48, 48, 0.5, 0.0, 2)
