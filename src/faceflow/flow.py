@@ -200,7 +200,8 @@ def _solve_lk(a1: np.ndarray, a2: np.ndarray, p: FlowParams) -> tuple[np.ndarray
     np.sqrt(lam_min, out=lam_min)
     np.subtract(np.add(sxx, syy, out=scratch), lam_min, out=lam_min)
     lam_min *= 0.5
-    valid = lam_min >= p.eigen_threshold
+    with np.errstate(over="ignore"):  # a threshold past float32's range casts to inf, not a warning
+        valid = lam_min >= p.eigen_threshold
 
     v = np.multiply(sxy, sxt, out=lam_min)
     u = np.multiply(sxy, syt, out=scratch)

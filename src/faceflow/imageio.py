@@ -53,11 +53,12 @@ class Image:
 
 @dataclass(frozen=True, slots=True)
 class _DeferredFrame:
-    """A frame of known size whose Image `make` produces each time the frame is read."""
+    """A frame of known size whose Image `make` produces when read; name is its file, if any."""
 
     width: int
     height: int
     make: Callable[[], Image]
+    name: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +67,8 @@ class FrameSequence:
 
     A frame is an Image, or a deferred frame that is made each time it is
     indexed (a checked file decoded, a synthetic frame rendered), so no
-    such frame is kept.
+    such frame is kept. A frame of another size than the first is an error
+    naming both frames, each by its file if it has one, else as frame i.
     """
 
     frames: tuple[Image | _DeferredFrame, ...]
@@ -77,10 +79,9 @@ class FrameSequence:
         first = self.frames[0]
         for i, frame in enumerate(self.frames):
             if (frame.width, frame.height) != (first.width, first.height):
-                raise DataError(
-                    f"frame {i} is {frame.width}x{frame.height}, "
-                    f"expected {first.width}x{first.height}"
-                )
+                name = [getattr(f, "name", "") or f"frame {j}" for j, f in enumerate(self.frames)]
+                raise DataError(f"{name[i]} is {frame.width}x{frame.height}, "
+                                f"expected {first.width}x{first.height} from {name[0]}")
 
     @property
     def width(self) -> int:
@@ -192,10 +193,10 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
     """Load every frame matching `pattern`, sorted by natural numeric order.
 
     Paths sort component by component relative to `directory`, so frames in
-    subdirectories stay grouped by directory. Every file is checked here, but
-    a frame is decoded only when the sequence is indexed, so memory does not
-    grow with the frame count; PPM files are converted to grayscale then. All
-    frames must share one resolution.
+    subdirectories stay grouped by directory. Every file is checked here, and
+    then FrameSequence checks that they share one resolution; a frame is
+    decoded only when the sequence is indexed, so memory does not grow with
+    the frame count. PPM files are converted to grayscale then.
     """
     root, parts = Path(directory), Path(pattern).parts
     partial_star = any("**" in part and part != "**" for part in parts)
@@ -210,25 +211,16 @@ def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> FrameSequenc
     if not paths:
         raise DataError(f"no files match {pattern!r} in {root}")
 
-    frames: list[_DeferredFrame] = []
+    frames = []
     for path in paths:
         height, width, _ = _read_samples(path)[0].shape
-        frame = _DeferredFrame(width, height, partial(_read_frame, path, width, height))
-        if frames and (frame.width, frame.height) != (frames[0].width, frames[0].height):
-            raise DataError(
-                f"{path.name} is {frame.width}x{frame.height}, expected "
-                f"{frames[0].width}x{frames[0].height} from {paths[0].name}"
-            )
-        frames.append(frame)
+        frames.append(_DeferredFrame(width, height, partial(_read_frame, path, width, height), path.name))
     return FrameSequence(tuple(frames))
 
 
 def _read_frame(path: Path, width: int, height: int) -> Image:
     """A frame that load_sequence has checked; it may have changed since, so say which one."""
-    try:
-        raw, maxval = _read_samples(path)
-    except OSError as exc:
-        raise DataError(f"{path.name}: {exc.strerror or exc}") from exc
+    raw, maxval = _read_samples(path)
     if raw.shape[:2] != (height, width):
         raise DataError(f"{path.name} is now {raw.shape[1]}x{raw.shape[0]}, "
                         f"expected {width}x{height}")
@@ -236,8 +228,10 @@ def _read_frame(path: Path, width: int, height: int) -> Image:
 
 
 def _read_samples(path: Path) -> tuple[np.ndarray, int]:
-    """A PGM or PPM file's checked raw samples and maxval; a format error names the file."""
+    """A PGM or PPM file's checked raw samples and maxval; a failed read or check names the file."""
     try:
         return _decode_samples(path.read_bytes())
     except FaceflowError as exc:
         raise type(exc)(f"{path.name}: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"{path.name}: {exc.strerror or exc}") from exc

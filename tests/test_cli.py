@@ -356,6 +356,49 @@ class TestSeries:
             ]
         )
         assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "error: --mode 'sideways': must be one of: reference, consecutive\n")
+
+    def test_bad_units_value(self, mouth_run, tmp_path):
+        code, err = _run_main(["series", "--frames", str(mouth_run / "frames"),
+                               "--units", "bogus", "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_CONFIG_ERROR,
+                               "error: --units 'bogus': must be one of: normalized, pixels\n")
+        assert not (tmp_path / "series.csv").exists()
+
+    def test_mode_and_units_reach_the_series(self, mouth_run, tmp_path):
+        frames = mouth_run / "frames"
+        assert main(["series", "--frames", str(frames), "--mode", "consecutive",
+                     "--units", "pixels", "--out", str(tmp_path)]) == EXIT_OK
+        seq = load_sequence(frames)
+        series = intensity_series(seq, make_grid(seq.width, seq.height), default_region_map(),
+                                  FlowParams(), mode="consecutive", normalize=False)
+        assert (tmp_path / "series.csv").read_text() == format_series_csv(series)
+
+    def test_threshold_past_float32_range_is_quiet(self, mouth_run, tmp_path):
+        # The frames decode to float32, which cannot hold 1e300: no pixel is valid.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = _run_main(["series", "--frames", str(mouth_run / "frames"),
+                                   "--eigen-threshold", "1e300", "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, "")
+        assert not parse_series_csv((tmp_path / "series.csv").read_text()).values.any()
+
+    def test_unreadable_frame_is_data_error(self, tmp_path, monkeypatch):
+        frames = tmp_path / "frames"
+        assert main(["synth", "--out", str(frames), "--width", "64", "--height", "48",
+                     "--count", "5", "--dx", "0.4", "--seed", "2"]) == EXIT_OK
+        read_bytes = Path.read_bytes
+
+        def denied(path):  # chmod cannot deny a read to the superuser
+            if path.name == "frame_0003.pgm":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        code, err = _run_main(["series", "--frames", str(frames), "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_DATA_ERROR, "error: frame_0003.pgm: Permission denied\n")
+        assert not (tmp_path / "series.csv").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -834,6 +877,17 @@ class TestSeriesCsvHelpers:
         )
         svg = render_series_svg(series)
         assert svg.count("<polyline") == 1
+
+    def test_svg_axes_ticks_and_legend_swatches(self):
+        series = IntensitySeries(regions=("a", "b"), frames=np.arange(1, 6),
+                                 values=np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 0.0],
+                                                  [0.5, 0.0], [0.0, 0.0]]))
+        svg = ET.fromstring(render_series_svg(series))
+        # 2 axes, 5 y ticks, 5 x ticks and one legend swatch per region.
+        assert len(svg.findall("{http://www.w3.org/2000/svg}line")) == 14
+        labels = [el.text for el in svg.iter() if el.tag.endswith("text")]
+        assert labels[:10:2] == ["0.00e+00", "5.00e-01", "1.00e+00", "1.50e+00", "2.00e+00"]
+        assert labels[1:10:2] == ["1", "2", "3", "4", "5"]
 
     def test_svg_escapes_region_names(self):
         series = parse_series_csv("frame,a<b&c,mouth\n1,0.5,0.25\n")

@@ -337,6 +337,17 @@ class TestLucasKanade:
         assert not field.valid.any()
         assert np.isfinite(field.u).all() and np.isfinite(field.v).all()
 
+    def test_threshold_past_float32_range_rejects_every_pixel(self):
+        # A float32 plane meets a threshold it cannot hold: it compares as
+        # inf, quietly, as a float64 plane compares with 1e300.
+        i1, i2 = (Image(f.pixels.astype(np.float32)) for f in shifted_pair(48, 40, 0.5, 0.3, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = lucas_kanade(i1, i2, FlowParams(eigen_threshold=1e300))
+        assert field.u.dtype == np.float32
+        assert not field.valid.any()
+        assert not field.u.any() and not field.v.any()
+
 
 class TestPyramidalLk:
     def test_single_level_matches_plain(self):
@@ -348,13 +359,16 @@ class TestPyramidalLk:
         assert np.array_equal(a.valid, b.valid)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_large_shift_recovered(self, seed):
-        i1, i2 = shifted_pair(128, 128, 4.0, 0.0, seed)
+    @pytest.mark.parametrize("dx, dy", [(4.0, 0.0), (1.5, -4.0)], ids=["x", "diagonal"])
+    def test_large_shift_recovered(self, dx, dy, seed):
+        # The diagonal shift needs every level's prior in both directions.
+        i1, i2 = shifted_pair(128, 128, dx, dy, seed)
         field = pyramidal_lk(i1, i2, FlowParams(pyramid_levels=3))
         m = 20
-        u = field.u[m:-m, m:-m]
+        u, v = field.u[m:-m, m:-m], field.v[m:-m, m:-m]
         valid = field.valid[m:-m, m:-m]
-        assert abs(u[valid].mean() - 4.0) <= 0.3
+        assert abs(u[valid].mean() - dx) <= 0.3
+        assert abs(v[valid].mean() - dy) <= 0.3
 
     def test_too_many_levels_rejected(self):
         img = Image(np.zeros((16, 16)))
@@ -377,6 +391,13 @@ class TestPyramidalLk:
             solve(img, img, FlowParams(window_radius=60))
         with pytest.raises(ConfigError, match=r"level\(s\) with window radius"):
             solve(img, img, FlowParams(window_radius=100000))
+
+    @pytest.mark.parametrize("solve", [lucas_kanade, pyramidal_lk])
+    def test_frames_of_two_sizes_rejected(self, solve):
+        # Checked before either frame is staged; lucas_kanade ignores the levels.
+        i1, i2 = make_texture(64, 48, seed=0), make_texture(64, 40, seed=0)
+        with pytest.raises(DataError, match=r"^frames are 64x48 and 64x40$"):
+            solve(i1, i2, FlowParams(pyramid_levels=2))
 
     @pytest.mark.parametrize("solve", [lucas_kanade, pyramidal_lk])
     def test_smoothing_radius_must_fit(self, solve):

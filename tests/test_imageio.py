@@ -20,6 +20,7 @@ from faceflow import (
     make_grid,
     synth_expression,
 )
+from faceflow.imageio import _DeferredFrame
 
 
 def pgm_bytes(width, height, maxval, payload):
@@ -224,6 +225,20 @@ class TestImageTypes:
         with pytest.raises(DataError, match="frame 1 is 2x3, expected 2x2"):
             FrameSequence((a, b))
 
+    @pytest.mark.parametrize("names, message", [
+        (("", ""), "frame 1 is 2x3, expected 2x2 from frame 0"),
+        (("a_1.pgm", "a_2.pgm"), "a_2.pgm is 2x3, expected 2x2 from a_1.pgm"),
+        (("", "a_2.pgm"), "a_2.pgm is 2x3, expected 2x2 from frame 0"),
+    ], ids=["in-memory", "files", "mixed"])
+    def test_size_check_names_each_frame(self, names, message):
+        # A frame is named by its file if it has one; an Image or a rendered frame by its index.
+        frames = [_DeferredFrame(2, h, lambda: pytest.fail("frame made"), name)
+                  for h, name in zip((2, 3), names)]
+        if not names[0]:
+            frames[0] = Image(np.zeros((2, 2)))
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            FrameSequence(tuple(frames))
+
     def test_sequence_iteration(self):
         frames = tuple(Image(np.full((2, 2), i / 10)) for i in range(3))
         seq = FrameSequence(frames)
@@ -326,6 +341,32 @@ class TestLoadSequence:
         (tmp_path / "a_1.pgm").write_bytes(pgm_bytes(1, 1, 255, [0]))
         (tmp_path / "a_2.pgm").write_bytes(pgm_bytes(2, 1, 255, [0, 0]))
         with pytest.raises(DataError, match="a_2.pgm is 2x1, expected 1x1"):
+            load_sequence(tmp_path)
+
+    def test_size_checked_after_every_file(self, tmp_path):
+        # The sequence checks the sizes, so a later file's format error comes first.
+        (tmp_path / "a_1.pgm").write_bytes(pgm_bytes(1, 1, 255, [0]))
+        (tmp_path / "a_2.pgm").write_bytes(pgm_bytes(2, 1, 255, [0, 0]))
+        (tmp_path / "a_3.pgm").write_bytes(pgm_bytes(1, 1, 255, []))
+        with pytest.raises(DataError, match="^a_3.pgm: expected 1 sample bytes, got 0$"):
+            load_sequence(tmp_path)
+        (tmp_path / "a_3.pgm").write_bytes(pgm_bytes(1, 1, 255, [0]))
+        with pytest.raises(DataError, match="^a_2.pgm is 2x1, expected 1x1 from a_1.pgm$"):
+            load_sequence(tmp_path)
+
+    def test_unreadable_file_names_file(self, tmp_path, monkeypatch):
+        # chmod cannot deny a read to the superuser, so the read itself is made to fail.
+        for i in range(1, 5):
+            (tmp_path / f"frame_000{i}.pgm").write_bytes(pgm_bytes(1, 1, 255, [0]))
+        read_bytes = Path.read_bytes
+
+        def denied(path):
+            if path.name == "frame_0003.pgm":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        with pytest.raises(DataError, match=r"^frame_0003\.pgm: Permission denied$"):
             load_sequence(tmp_path)
 
     @pytest.mark.parametrize("maxval", [1, 15, 100, 255])
